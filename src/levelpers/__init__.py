@@ -4,6 +4,9 @@ Computes level barcodes (four kinds of interval ends) and sub-level
 barcodes of a vertex-valued map, the five relevant level persistence
 numbers, and the exact conversions between numbers and bars in both
 directions, all over the two-element field.
+
+Progress is reported at DEBUG level on the "levelpers" logger, which has
+no handler of its own.
 """
 
 from .complexes import (
@@ -35,6 +38,7 @@ from .level import (
     barcode_from_kernels,
     barcode_from_overlaps,
     compute_relevant_numbers,
+    level_barcode,
     numbers_from_barcode,
     sublevel_from_level,
 )
@@ -96,6 +100,7 @@ __all__ = [
     "interlevel_complex",
     "intersection_dim",
     "kernel_basis",
+    "level_barcode",
     "level_complex",
     "lower_star_filtration",
     "numbers_from_barcode",

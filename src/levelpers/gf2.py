@@ -1,11 +1,12 @@
-"""Dense linear algebra over the two-element field.
+"""Linear algebra over the two-element field.
 
 Matrices carry entries in {0, 1} with all arithmetic mod 2, stored as
 numpy uint8 arrays; elimination uses vectorized XOR row updates.  On top
 of the basic rank/kernel/image operations the module builds homology
 presentations (cycles mod boundaries, with coordinates for arbitrary
-cycles) and the classical persistence pairing by left-to-right column
-reduction of a filtered boundary matrix.
+cycles).  The classical persistence pairing by left-to-right column
+reduction runs on Python-int bit columns (reduce_bit_columns);
+column_reduce is its entry point for a dense filtered boundary matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "homology_presentation",
     "induced_map",
     "column_reduce",
+    "reduce_bit_columns",
 ]
 
 
@@ -326,33 +328,25 @@ def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
     return BitMatrix(hom)
 
 
-def column_reduce(ordered_boundary: BitMatrix):
-    """Classical left-to-right column reduction of a filtered boundary matrix.
+def reduce_bit_columns(columns: list[int]):
+    """Classical left-to-right column reduction over Python-int bit columns.
 
-    Columns must be ordered by a filtration: every nonzero row index of
-    column j has to precede j.  Returns (pairs, essential) where pairs is
-    a list of (birth_index, death_index) and essential lists the unpaired
-    positive column indices.
+    Bit i of columns[j] is the entry in row i of column j, so no dense
+    matrix is built: a column costs one bit per row up to its highest
+    entry.  Columns must be ordered by a filtration: every nonzero row
+    index of column j has to precede j.  Returns (pairs, essential) where
+    pairs is a list of (birth_index, death_index) and essential lists the
+    unpaired positive column indices.
     """
-    if ordered_boundary.rows != ordered_boundary.cols:
-        raise ValueError("filtered boundary matrix must be square")
-    n = ordered_boundary.cols
-    cols: list[int] = []
-    for j in range(n):
-        nz = np.flatnonzero(ordered_boundary.data[:, j])
-        if nz.size and int(nz[-1]) >= j:
-            raise ValueError(f"column {j} violates the filtration order (entry at row {int(nz[-1])})")
-        bits = 0
-        for r in nz:
-            bits |= 1 << int(r)
-        cols.append(bits)
-
+    n = len(columns)
     reduced: list[int] = [0] * n
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     positive: list[int] = []
     for j in range(n):
-        b = cols[j]
+        b = columns[j]
+        if b >> j:
+            raise ValueError(f"column {j} violates the filtration order (entry at row {b.bit_length() - 1})")
         while b:
             low = b.bit_length() - 1
             owner = low_owner.get(low)
@@ -370,3 +364,21 @@ def column_reduce(ordered_boundary: BitMatrix):
     births = {i for i, _ in pairs}
     essential = [j for j in positive if j not in births]
     return pairs, essential
+
+
+def column_reduce(ordered_boundary: BitMatrix):
+    """Column reduction of a dense filtered boundary matrix.
+
+    Converts the square matrix to bit columns and runs
+    reduce_bit_columns on them; the filtration-order requirement and
+    the (pairs, essential) result are the same.
+    """
+    if ordered_boundary.rows != ordered_boundary.cols:
+        raise ValueError("filtered boundary matrix must be square")
+    cols: list[int] = []
+    for j in range(ordered_boundary.cols):
+        bits = 0
+        for r in np.flatnonzero(ordered_boundary.data[:, j]):
+            bits |= 1 << int(r)
+        cols.append(bits)
+    return reduce_bit_columns(cols)

@@ -1,6 +1,12 @@
-"""Level persistence: relevant numbers, level bars, and conversions.
+"""Level persistence: level bars, relevant numbers, and conversions.
 
-For a PL vertex map there are five families of numbers per homology
+The level barcode of a PL vertex map is its extended persistence
+(Cohen-Steiner, Edelsbrunner and Harer 2009; Carlsson, de Silva and
+Morozov 2009): level_barcode reads all four bar kinds off one column
+reduction of the cone over the complex, whose columns are the lower-star
+filtration followed by the cone over the upper-star filtration.
+
+The level bars also determine five families of numbers per homology
 degree, indexed over the grid of critical and regular values:
 
 * level_rank(t): dimension of the level homology at t;
@@ -13,23 +19,30 @@ degree, indexed over the grid of critical and regular values:
 
 These determine, and are determined by, the counts of the four kinds of
 level bars (closed/open at each end); both conversion directions are
-implemented, together with the direct computation from cell complexes
-and the export of level bars to sub-level bars.
+implemented, together with the export of level bars to sub-level bars.
+compute_relevant_numbers computes the numbers directly, band by band,
+from level and interlevel cell complexes; it is independent of the cone
+reduction and serves as its oracle in the checks and tests.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
-from .complexes import CriticalGrid, VertexValuedMap, critical_values
-from .gf2 import image_basis, induced_map, intersection_dim, kernel_basis, Subspace
+from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
+from .gf2 import image_basis, induced_map, intersection_dim, kernel_basis, reduce_bit_columns, Subspace
 from .slabs import SlabBuilder, homology_of, include_level
 from .sublevel import INF, SublevelBarcode
+
+_log = logging.getLogger("levelpers")
 
 __all__ = [
     "LevelBar",
     "LevelBarcode",
     "RelevantNumbers",
+    "level_barcode",
+    "first_difference",
     "compute_relevant_numbers",
     "numbers_from_barcode",
     "barcode_from_overlaps",
@@ -112,6 +125,90 @@ class LevelBarcode:
         return f"LevelBarcode({'; '.join(parts)})"
 
 
+def first_difference(a, b) -> str:
+    """Name the first bar whose multiplicity differs between two barcodes.
+
+    Works for two level barcodes or two sub-level barcodes; bars are
+    visited in sorted order.  Returns "" when the barcodes are equal.
+    """
+    if a.grid.criticals != b.grid.criticals:
+        return f"critical values {list(a.grid.criticals)} vs {list(b.grid.criticals)}"
+    if isinstance(a, LevelBarcode):
+        ca, cb, name = a.counts, b.counts, str
+    else:
+        ca, cb = a.bars, b.bars
+        name = lambda k: f"H{k[0]} [{k[1]}, {'inf' if k[2] == INF else k[2]})"
+    for key in sorted(ca.keys() | cb.keys()):
+        if ca.get(key, 0) != cb.get(key, 0):
+            return f"{name(key)} with multiplicity {ca.get(key, 0)} vs {cb.get(key, 0)}"
+    return ""
+
+
+def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
+                  max_degree: int | None = None) -> LevelBarcode:
+    """Level bars from one extended-persistence reduction of the cone.
+
+    Columns are the cone point w, then the simplices of K in lower-star
+    order, then the cones w*s in descending upper-star order, sorted by
+    (-min value, dimension, lexicographic); the boundary of w*s is
+    s + w*(boundary of s), and that of w*v is v + w.  A pair born at
+    value a and killed at value b reads as:
+
+    * both in K (ordinary): [a, b) in the birth degree r, if a != b;
+    * born in K, killed in the cone (extended): [a, b] in degree r if
+      a <= b, else (b, a) in degree r - 1;
+    * both in the cone (relative), birth of cone dimension r + 1:
+      (b, a] in degree r, if a != b.
+
+    The cone point is essential and pairs with nothing.  Bars above
+    max_degree (default: the complex dimension) are dropped.
+    """
+    if grid is None:
+        grid = critical_values(f)
+    top = f.complex.dim if max_degree is None else max_degree
+    top = max(top, 0)
+    lower = lower_star_filtration(f)
+    upper = sorted(((s, f.min_on(s)) for s in f.complex.simplices),
+                   key=lambda e: (-e[1], len(e[0]), e[0]))
+    n = len(lower)
+    row = {s: 1 + i for i, (s, _) in enumerate(lower)}
+    cone_row = {s: 1 + n + i for i, (s, _) in enumerate(upper)}
+    columns = [0]
+    for s, _ in lower:
+        bits = 0
+        if len(s) > 1:
+            for i in range(len(s)):
+                bits |= 1 << row[s[:i] + s[i + 1:]]
+        columns.append(bits)
+    for s, _ in upper:
+        bits = 1 << row[s]
+        if len(s) == 1:
+            bits |= 1
+        else:
+            for i in range(len(s)):
+                bits |= 1 << cone_row[s[:i] + s[i + 1:]]
+        columns.append(bits)
+    pairs, _ = reduce_bit_columns(columns)
+
+    entries = [((), 0.0)] + lower + upper  # column -> (simplex, value)
+    counts: dict[LevelBar, int] = {}
+    for i, j in pairs:
+        if i == 0:
+            continue
+        (si, a), (_, b) = entries[i], entries[j]
+        r = len(si) - 1
+        if j <= n:
+            bar = LevelBar(r, a, b, True, False) if a != b else None
+        elif i <= n:
+            bar = LevelBar(r, a, b, True, True) if a <= b else LevelBar(r - 1, b, a, False, False)
+        else:
+            bar = LevelBar(r, b, a, False, True) if a != b else None
+        if bar is not None and bar.degree <= top:
+            counts[bar] = counts.get(bar, 0) + 1
+    _log.debug("cone reduction: %d simplices, %d cone columns, %d pairs", n, len(columns), len(pairs))
+    return LevelBarcode(grid, counts)
+
+
 class RelevantNumbers:
     """The five number families over a critical grid, with zero conventions.
 
@@ -133,7 +230,11 @@ class RelevantNumbers:
         self._both = both
 
     def _ok(self, *args) -> bool:
-        return all(self.grid.in_range(x) for x in args)
+        lo, hi = self.grid.criticals[0], self.grid.criticals[-1]
+        for x in args:
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def level_rank(self, r: int, t: float) -> int:
         if r < 0 or r > self.max_degree or not self._ok(t):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ from .level import (
     barcode_from_kernels,
     barcode_from_overlaps,
     compute_relevant_numbers,
+    first_difference,
+    level_barcode,
     numbers_from_barcode,
     sublevel_from_level,
 )
@@ -43,6 +47,9 @@ __all__ = [
     "result_to_csv",
     "numbers_to_csv",
 ]
+
+
+_log = logging.getLogger("levelpers")
 
 
 class InputError(ValueError):
@@ -307,7 +314,10 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     def conversion_agreement():
         other = barcode_from_kernels(nums)
         if bc != other:
-            raise AssertionError(f"conversion routes disagree: {bc} vs {other}")
+            raise AssertionError(f"conversion routes disagree at {first_difference(bc, other)}")
+        cone = level_barcode(f, grid, top)
+        if bc != cone:
+            raise AssertionError(f"band route and cone reduction disagree at {first_difference(bc, cone)}")
 
     def numbers_round_trip():
         back = numbers_from_barcode(bc, grid, nums.max_degree)
@@ -319,7 +329,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     def bridge_identity():
         derived = sublevel_from_level(bc, nums.max_degree)
         if derived != sb:
-            raise AssertionError(f"level-derived sub-level bars {derived} differ from reduction bars {sb}")
+            raise AssertionError("level-derived and reduction sub-level bars differ at "
+                                 f"{first_difference(derived, sb)}")
 
     def betti_multiplicity_round_trip():
         back = bars_from_betti(BettiTable.from_barcode(sb))
@@ -366,24 +377,44 @@ def _induced_rank(f, t, a, b, band, builder, r):
 
 def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = False,
             seed: int = 0) -> ResultDocument:
-    """Full pipeline: sub-level bars, level bars via both conversion
-    routes, relevant-number tables on the critical grid, and optionally
-    the named invariant checks."""
+    """Full pipeline: level bars from the extended-persistence reduction
+    of the cone, relevant-number tables counted from them, both
+    conversion routes back to bars (which must reproduce them), sub-level
+    bars, and optionally the named invariant checks, which recompute
+    everything through the independent band route.
+
+    Stage boundaries are logged at DEBUG level on the "levelpers" logger.
+    """
     f = input_to_map(parsed)
     if not f.complex.simplices:
         return ResultDocument([], 0, [], [], {
             "level_rank": [], "image_overlap": [], "up_kernel": [], "down_kernel": [], "kernel_overlap": []},
             checks=[] if include_checks else None)
+    start = time.perf_counter()
+
+    def stage(message: str, *args) -> None:
+        _log.debug(message + " (%.3f s)", *args, time.perf_counter() - start)
+
     grid = critical_values(f)
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
-    nums = compute_relevant_numbers(f, top, grid=grid)
-    bc = barcode_from_overlaps(nums)
-    barcode_from_kernels(nums)  # validates the second route end to end
+    stage("grid: %d simplices, %d critical values", len(f.complex.simplices), len(grid.criticals))
+    bc = level_barcode(f, grid, top)
+    stage("level route: %d bars", sum(bc.counts.values()))
+    nums = numbers_from_barcode(bc, grid, top)
+    stage("numbers: degrees 0..%d over %d critical values", top, len(grid.criticals))
+    for route in (barcode_from_overlaps, barcode_from_kernels):
+        other = route(nums)
+        if other != bc:
+            raise RuntimeError(f"{route.__name__} does not reproduce the level barcode: "
+                               f"{first_difference(bc, other)}")
+    stage("conversions: both routes reproduce %d bars", sum(bc.counts.values()))
     sb = sublevel_barcode(f, grid)
+    stage("sub-level: %d bars", sum(sb.bars.values()))
     checks = None
     if include_checks:
         checks = [asdict(c) for c in run_checks(f, max_degree=top, seed=seed)]
+        stage("checks: %d run", len(checks))
     return ResultDocument(
         criticals=[fmt_value(t) for t in grid.criticals],
         max_degree=top,

@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     try:
         doc = analyze(parsed, max_degree=args.max_degree,
                       include_checks=args.command == "check", seed=args.seed)
-    except InputError as exc:
+    except ValueError as exc:  # InputError included; a RuntimeError stays a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

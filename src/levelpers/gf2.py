@@ -1,12 +1,15 @@
 """Linear algebra over the two-element field.
 
-Matrices carry entries in {0, 1} with all arithmetic mod 2, stored as
-numpy uint8 arrays; elimination uses vectorized XOR row updates.  On top
-of the basic rank/kernel/image operations the module builds homology
-presentations (cycles mod boundaries, with coordinates for arbitrary
-cycles).  The classical persistence pairing by left-to-right column
-reduction runs on Python-int bit columns (reduce_bit_columns);
-column_reduce is its entry point for a dense filtered boundary matrix.
+A matrix is stored as bit columns: bit i of a column, a Python int, is
+the entry in row i, so a column costs one bit per row up to its highest
+entry and no rows x cols array is ever built.  Every operation runs on
+one elimination primitive: columns are reduced left to right against a
+pivot table keyed by the lowest entry (highest row index) of each
+reduced column, optionally tracking which input columns were combined.
+Rank, kernel, image, subspace intersections, homology presentations
+(cycles mod boundaries, with coordinates for arbitrary cycles), induced
+maps and the classical persistence pairing (column_reduce) are all read
+off that one reduction.
 """
 
 from __future__ import annotations
@@ -24,120 +27,115 @@ __all__ = [
     "homology_presentation",
     "induced_map",
     "column_reduce",
-    "reduce_bit_columns",
 ]
 
 
-def _mod2(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise ValueError("matrix data must be two-dimensional")
-    return np.mod(arr, 2).astype(np.uint8)
-
-
-def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+def _combine(columns, selection: int) -> int:
+    """Sum of the columns picked by the set bits of selection."""
+    out = 0
+    while selection:
+        low = selection & -selection
+        out ^= columns[low.bit_length() - 1]
+        selection ^= low
+    return out
 
 
 class BitMatrix:
-    """An immutable rows x cols matrix with entries in {0, 1}."""
+    """An immutable rows x cols matrix with entries in {0, 1}, as bit columns."""
 
-    __slots__ = ("data",)
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, data) -> None:
-        arr = _mod2(data)
-        arr.setflags(write=False)
-        self.data = arr
+        arr = np.asarray(data)
+        if arr.ndim != 2:
+            raise ValueError("matrix data must be two-dimensional")
+        odd = np.mod(arr, 2).astype(bool)
+        self.rows, self.cols = arr.shape
+        self.columns = tuple(sum(1 << int(i) for i in np.flatnonzero(odd[:, j]))
+                             for j in range(self.cols))
+
+    @classmethod
+    def from_bits(cls, columns, rows: int) -> "BitMatrix":
+        """Matrix whose column j has bit i set iff its entry in row i is 1."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.columns = tuple(columns)
+        m.cols = len(m.columns)
+        for j, c in enumerate(m.columns):
+            if c < 0 or c >> rows:
+                raise ValueError(f"bit column {j} does not fit in {rows} rows")
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls.from_bits((0,) * cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "BitMatrix":
-        """Stack 1-D vectors as the columns of a rows x len(columns) matrix."""
-        cols = list(columns)
-        if not cols:
-            return cls.zeros(rows, 0)
-        return cls(np.stack([np.asarray(c, dtype=np.uint8) for c in cols], axis=1))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j].copy()
+        return cls.from_bits([1 << i for i in range(n)], n)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.data.T)
+        out = [0] * self.rows
+        for j, c in enumerate(self.columns):
+            for i in range(c.bit_length()):
+                if c >> i & 1:
+                    out[i] |= 1 << j
+        return BitMatrix.from_bits(out, self.cols)
 
     def is_zero(self) -> bool:
-        return not self.data.any()
+        return not any(self.columns)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not compose")
-        return BitMatrix(_matmul2(self.data, other.data))
+        return BitMatrix.from_bits([_combine(self.columns, c) for c in other.columns], self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _echelon(arr: np.ndarray, *, reduced: bool = False, pivot_limit: int | None = None):
-    """Gaussian elimination with XOR row updates.
+def _reduce(column: int, pivots: dict, combo: int = 0) -> tuple[int, int]:
+    """Reduce a column against a pivot table; the only elimination loop.
 
-    Args:
-        arr: uint8 matrix; not modified.
-        reduced: clear entries above pivots as well (Gauss-Jordan).
-        pivot_limit: only search for pivots in the first *pivot_limit*
-            columns; row updates still span the full width.
-
-    Returns:
-        (R, pivot_cols) where R is the (reduced) echelon form and
-        pivot_cols lists the pivot column indices in order.
+    pivots maps the lowest entry of each stored column to that column and
+    the input combination it stands for.  Returns the residual, which is
+    zero iff the column lies in the span of the table, and combo plus the
+    combinations of every stored column added on the way.
     """
-    R = arr.astype(np.uint8).copy()
-    m, n = R.shape
-    limit = n if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    row = 0
-    for col in range(limit):
-        if row == m:
+    while column:
+        hit = pivots.get(column.bit_length() - 1)
+        if hit is None:
             break
-        hits = np.flatnonzero(R[row:, col])
-        if hits.size == 0:
-            continue
-        p = row + int(hits[0])
-        if p != row:
-            R[[row, p]] = R[[p, row]]
-        if reduced:
-            others = np.flatnonzero(R[:, col])
-            others = others[others != row]
-        else:
-            others = row + 1 + np.flatnonzero(R[row + 1:, col])
-        if others.size:
-            R[others] ^= R[row]
-        pivots.append(col)
-        row += 1
-    return R, pivots
+        column ^= hit[0]
+        combo ^= hit[1]
+    return column, combo
+
+
+def _eliminate(columns, track: bool = False):
+    """Reduce columns left to right, each against the ones before it.
+
+    Returns (pivots, reduced): the final pivot table and, per column, its
+    (residual, combination).  With track set, bit k of a combination is
+    input column k, so a zero residual gives a kernel vector.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    reduced = []
+    for j, column in enumerate(columns):
+        column, combo = _reduce(column, pivots, 1 << j if track else 0)
+        if column:
+            pivots[column.bit_length() - 1] = (column, combo)
+        reduced.append((column, combo))
+    return pivots, reduced
 
 
 def rank(m: BitMatrix) -> int:
     """Rank of the matrix over the two-element field."""
-    return len(_echelon(m.data)[1])
+    return len(_eliminate(m.columns)[0])
 
 
 class Subspace:
@@ -165,87 +163,43 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains(self, vector) -> bool:
-        v = np.asarray(vector, dtype=np.uint8).reshape(self.ambient_dim, 1)
-        stacked = np.concatenate([self.basis.data, v], axis=1)
-        return len(_echelon(stacked)[1]) == self.dim
-
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Basis of the null space; its dimension is cols - rank."""
-    R, pivots = _echelon(m.data, reduced=True)
-    n = m.cols
-    pivot_set = set(pivots)
-    vectors = []
-    for c in range(n):
-        if c in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.uint8)
-        v[c] = 1
-        for k, p in enumerate(pivots):
-            v[p] = R[k, c]
-        vectors.append(v)
-    return Subspace(n, BitMatrix.from_columns(vectors, n))
+    _, reduced = _eliminate(m.columns, track=True)
+    return Subspace(m.cols, BitMatrix.from_bits([combo for c, combo in reduced if not c], m.cols))
+
+
+def _independent(columns) -> list[int]:
+    """Indices of the columns not in the span of the columns before them."""
+    return [j for j, (c, _) in enumerate(_eliminate(columns)[1]) if c]
 
 
 def image_basis(m: BitMatrix) -> Subspace:
     """Basis of the column span: the pivot columns of the matrix."""
-    _, pivots = _echelon(m.data)
-    return Subspace(m.rows, BitMatrix(m.data[:, pivots]))
+    return Subspace(m.rows, BitMatrix.from_bits([m.columns[j] for j in _independent(m.columns)], m.rows))
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
     """Dimension of the intersection: dim a + dim b - rank([a | b])."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    stacked = np.concatenate([a.basis.data, b.basis.data], axis=1)
-    return a.dim + b.dim - len(_echelon(stacked)[1])
-
-
-class _GaussSolver:
-    """Solves M x = v for a fixed M with independent columns.
-
-    Precomputes an invertible row transform T with T @ M = [I_k; 0], so a
-    whole matrix of right-hand sides is handled by one multiplication.
-    """
-
-    __slots__ = ("_transform", "_k", "_n")
-
-    def __init__(self, m: np.ndarray) -> None:
-        n, k = m.shape
-        aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
-        R, pivots = _echelon(aug, reduced=True, pivot_limit=k)
-        if len(pivots) != k:
-            raise ValueError("solver requires independent columns")
-        self._transform = R[:, k:]
-        self._k = k
-        self._n = n
-
-    def solve_many(self, rhs: np.ndarray):
-        """Return (coeffs, ok): columnwise solutions and solvability flags."""
-        if rhs.shape[0] != self._n:
-            raise ValueError("right-hand side has the wrong length")
-        w = _matmul2(self._transform, rhs)
-        coeffs = w[: self._k]
-        if self._n > self._k:
-            ok = ~w[self._k:].any(axis=0)
-        else:
-            ok = np.ones(rhs.shape[1], dtype=bool)
-        return coeffs, ok
+    return a.dim + b.dim - len(_eliminate(a.basis.columns + b.basis.columns)[0])
 
 
 class HomologyPresentation:
     """One homology degree of a Z2 chain complex: cycles mod boundaries.
 
     Stores a cycle basis, a boundary basis, chosen representative cycles
-    spanning the quotient, and a coordinatizer expressing any cycle as a
-    boundary combination plus homology coordinates.
+    spanning the quotient, and a pivot table of boundaries followed by
+    representatives that expresses any cycle as a boundary combination
+    plus homology coordinates.
     """
 
-    __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "homology_reps", "_solver")
+    __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "homology_reps", "_pivots")
 
     def __init__(self, ambient_dim: int, cycle_basis: Subspace,
                  boundary_basis: Subspace, homology_reps: BitMatrix) -> None:
@@ -255,30 +209,29 @@ class HomologyPresentation:
         self.cycle_basis = cycle_basis
         self.boundary_basis = boundary_basis
         self.homology_reps = homology_reps
-        stacked = np.concatenate([boundary_basis.basis.data, homology_reps.data], axis=1)
-        self._solver = _GaussSolver(stacked)
+        self._pivots, reduced = _eliminate(boundary_basis.basis.columns + homology_reps.columns, track=True)
+        if not all(c for c, _ in reduced):
+            raise ValueError("boundaries and representatives are linearly dependent")
 
     @property
     def betti(self) -> int:
         return self.homology_reps.cols
 
-    def decompose_many(self, vectors: np.ndarray):
-        """Split cycle columns into (boundary coeffs, homology coords, ok).
+    def _decompose(self, vector: int) -> tuple[bool, int]:
+        """(is a cycle, homology coordinates as bits) of one chain column.
 
-        A column is a cycle iff its ok flag is set; it is a boundary iff
-        additionally its homology coordinates vanish.
+        A cycle is a boundary iff its homology coordinates vanish.
         """
-        coeffs, ok = self._solver.solve_many(vectors)
-        nb = self.boundary_basis.dim
-        return coeffs[:nb], coeffs[nb:], ok
+        residual, combo = _reduce(vector, self._pivots)
+        return not residual, combo >> self.boundary_basis.dim
 
     def coordinates(self, cycle) -> np.ndarray:
         """Homology coordinates of one cycle vector; raises if not a cycle."""
-        v = np.asarray(cycle, dtype=np.uint8).reshape(self.ambient_dim, 1)
-        _, hom, ok = self.decompose_many(v)
-        if not ok[0]:
+        v = BitMatrix(np.asarray(cycle).reshape(self.ambient_dim, 1)).columns[0]
+        ok, hom = self._decompose(v)
+        if not ok:
             raise ValueError("vector is not a cycle")
-        return hom[:, 0].copy()
+        return np.array([hom >> k & 1 for k in range(self.betti)], dtype=np.uint8)
 
     def __repr__(self) -> str:
         return f"HomologyPresentation(betti {self.betti}, ambient {self.ambient_dim})"
@@ -297,11 +250,9 @@ def homology_presentation(boundary_in: BitMatrix, boundary_out: BitMatrix) -> Ho
         raise ValueError("boundary composition is nonzero: malformed chain complex")
     cycles = kernel_basis(boundary_out)
     boundaries = image_basis(boundary_in)
-    stacked = np.concatenate([boundaries.basis.data, cycles.basis.data], axis=1)
-    _, pivots = _echelon(stacked)
     nb = boundaries.dim
-    rep_cols = [p - nb for p in pivots if p >= nb]
-    reps = BitMatrix(cycles.basis.data[:, rep_cols])
+    picked = _independent(boundaries.basis.columns + cycles.basis.columns)
+    reps = BitMatrix.from_bits([cycles.basis.columns[p - nb] for p in picked if p >= nb], n)
     return HomologyPresentation(n, cycles, boundaries, reps)
 
 
@@ -314,71 +265,40 @@ def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
     """
     if chain_map.rows != dst.ambient_dim or chain_map.cols != src.ambient_dim:
         raise ValueError("chain map shape does not match the presentations")
-    if src.boundary_basis.dim:
-        images = _matmul2(chain_map.data, src.boundary_basis.basis.data)
-        _, hom, ok = dst.decompose_many(images)
-        if not ok.all() or hom.any():
+    for b in src.boundary_basis.basis.columns:
+        ok, hom = dst._decompose(_combine(chain_map.columns, b))
+        if not ok or hom:
             raise ValueError("chain map does not send boundaries to boundaries")
-    if src.betti == 0:
-        return BitMatrix.zeros(dst.betti, 0)
-    images = _matmul2(chain_map.data, src.homology_reps.data)
-    _, hom, ok = dst.decompose_many(images)
-    if not ok.all():
-        raise ValueError("chain map does not send cycles to cycles")
-    return BitMatrix(hom)
-
-
-def reduce_bit_columns(columns: list[int]):
-    """Classical left-to-right column reduction over Python-int bit columns.
-
-    Bit i of columns[j] is the entry in row i of column j, so no dense
-    matrix is built: a column costs one bit per row up to its highest
-    entry.  Columns must be ordered by a filtration: every nonzero row
-    index of column j has to precede j.  Returns (pairs, essential) where
-    pairs is a list of (birth_index, death_index) and essential lists the
-    unpaired positive column indices.
-    """
-    n = len(columns)
-    reduced: list[int] = [0] * n
-    low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    positive: list[int] = []
-    for j in range(n):
-        b = columns[j]
-        if b >> j:
-            raise ValueError(f"column {j} violates the filtration order (entry at row {b.bit_length() - 1})")
-        while b:
-            low = b.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            b ^= reduced[owner]
-        reduced[j] = b
-        if b:
-            low = b.bit_length() - 1
-            low_owner[low] = j
-            pairs.append((low, j))
-        else:
-            positive.append(j)
-
-    births = {i for i, _ in pairs}
-    essential = [j for j in positive if j not in births]
-    return pairs, essential
+    columns = []
+    for z in src.homology_reps.columns:
+        ok, hom = dst._decompose(_combine(chain_map.columns, z))
+        if not ok:
+            raise ValueError("chain map does not send cycles to cycles")
+        columns.append(hom)
+    return BitMatrix.from_bits(columns, dst.betti)
 
 
 def column_reduce(ordered_boundary: BitMatrix):
-    """Column reduction of a dense filtered boundary matrix.
+    """Classical left-to-right column reduction of a filtered boundary matrix.
 
-    Converts the square matrix to bit columns and runs
-    reduce_bit_columns on them; the filtration-order requirement and
-    the (pairs, essential) result are the same.
+    Columns must be ordered by a filtration: every nonzero row index of
+    column j has to precede j.  Returns (pairs, essential) where pairs is
+    a list of (birth_index, death_index) and essential lists the unpaired
+    positive column indices.
     """
     if ordered_boundary.rows != ordered_boundary.cols:
         raise ValueError("filtered boundary matrix must be square")
-    cols: list[int] = []
-    for j in range(ordered_boundary.cols):
-        bits = 0
-        for r in np.flatnonzero(ordered_boundary.data[:, j]):
-            bits |= 1 << int(r)
-        cols.append(bits)
-    return reduce_bit_columns(cols)
+    columns = ordered_boundary.columns
+    for j, b in enumerate(columns):
+        if b >> j:
+            raise ValueError(f"column {j} violates the filtration order (entry at row {b.bit_length() - 1})")
+    pairs: list[tuple[int, int]] = []
+    positive: list[int] = []
+    for j, (b, _) in enumerate(_eliminate(columns)[1]):
+        if b:
+            pairs.append((b.bit_length() - 1, j))
+        else:
+            positive.append(j)
+    births = {i for i, _ in pairs}
+    essential = [j for j in positive if j not in births]
+    return pairs, essential

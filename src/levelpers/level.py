@@ -31,7 +31,7 @@ import logging
 from dataclasses import dataclass
 
 from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
-from .gf2 import image_basis, induced_map, intersection_dim, kernel_basis, reduce_bit_columns, Subspace
+from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis, Subspace
 from .slabs import SlabBuilder, homology_of, include_level
 from .sublevel import INF, SublevelBarcode
 
@@ -188,7 +188,7 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
             for i in range(len(s)):
                 bits |= 1 << cone_row[s[:i] + s[i + 1:]]
         columns.append(bits)
-    pairs, _ = reduce_bit_columns(columns)
+    pairs, _ = column_reduce(BitMatrix.from_bits(columns, len(columns)))
 
     entries = [((), 0.0)] + lower + upper  # column -> (simplex, value)
     counts: dict[LevelBar, int] = {}

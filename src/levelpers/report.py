@@ -73,7 +73,10 @@ def _require(cond: bool, message: str) -> None:
 def _parse_value(raw, where: str) -> float:
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
              f"{where}: expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        raise InputError(f"{where}: number too large for a float") from None
 
 
 def _parse_simplex_list(raw, known_ids, where: str):
@@ -97,7 +100,9 @@ def parse_input(text: str):
     """Parse an input document into a VertexValuedMap or a Filtration."""
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except InputError:
+        raise
+    except ValueError as exc:  # malformed JSON, or an integer literal past the digit limit
         raise InputError(f"invalid JSON: {exc}") from None
     _require(isinstance(data, dict), "top-level value must be a JSON object")
 

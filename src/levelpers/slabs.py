@@ -132,14 +132,13 @@ class CellComplex:
     def boundary_matrix(self, r: int) -> BitMatrix:
         """Matrix of the boundary from degree r to degree r - 1."""
         if r not in self._bmat:
-            rows = self.cells_of_dim(r - 1)
-            cols = self.cells_of_dim(r)
-            m = BitMatrix.zeros(len(rows), len(cols))
-            data = m.data.copy()
-            for j, c in enumerate(cols):
+            columns = []
+            for c in self.cells_of_dim(r):
+                bits = 0
                 for t in self.boundary[c]:
-                    data[self._index[t], j] = 1
-            self._bmat[r] = BitMatrix(data)
+                    bits |= 1 << self._index[t]
+                columns.append(bits)
+            self._bmat[r] = BitMatrix.from_bits(columns, len(self.cells_of_dim(r - 1)))
         return self._bmat[r]
 
     def __len__(self) -> int:
@@ -288,12 +287,8 @@ class InclusionMap:
     dst: CellComplex
 
     def chain_matrix(self, r: int) -> BitMatrix:
-        rows = self.dst.cells_of_dim(r)
-        cols = self.src.cells_of_dim(r)
-        m = BitMatrix.zeros(len(rows), len(cols)).data.copy()
-        for j, cell in enumerate(cols):
-            m[self.dst.index_in_dim(cell), j] = 1
-        return BitMatrix(m)
+        columns = [1 << self.dst.index_in_dim(cell) for cell in self.src.cells_of_dim(r)]
+        return BitMatrix.from_bits(columns, len(self.dst.cells_of_dim(r)))
 
 
 def include_level(f: VertexValuedMap, t: float, a: float, b: float, *,

@@ -73,15 +73,14 @@ def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> Su
         grid = critical_values(f)
     order = lower_star_filtration(f)
     index = {s: i for i, (s, _) in enumerate(order)}
-    n = len(order)
-    data = BitMatrix.zeros(n, n).data.copy()
-    for j, (simplex, _) in enumerate(order):
-        if len(simplex) == 1:
-            continue
-        for i in range(len(simplex)):
-            facet = simplex[:i] + simplex[i + 1:]
-            data[index[facet], j] = 1
-    pairs, essential = column_reduce(BitMatrix(data))
+    columns = []
+    for simplex, _ in order:
+        bits = 0
+        if len(simplex) > 1:
+            for i in range(len(simplex)):
+                bits |= 1 << index[simplex[:i] + simplex[i + 1:]]
+        columns.append(bits)
+    pairs, essential = column_reduce(BitMatrix.from_bits(columns, len(order)))
 
     bars: dict[tuple[int, float, float], int] = {}
     for i, j in pairs:

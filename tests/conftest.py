@@ -111,12 +111,21 @@ def random_vertex_map(rng: np.random.Generator) -> VertexValuedMap:
     return VertexValuedMap(cx, values)
 
 
+def dense(m: BitMatrix) -> np.ndarray:
+    """The rows x cols uint8 array of a bit-column matrix."""
+    out = np.zeros((m.rows, m.cols), dtype=np.uint8)
+    for j, c in enumerate(m.columns):
+        for i in range(m.rows):
+            out[i, j] = c >> i & 1
+    return out
+
+
 def simplicial_boundary_matrix(cx: SimplicialComplex, r: int) -> BitMatrix:
     """Boundary matrix from r-simplices to (r-1)-simplices of a complex."""
     rows = cx.simplices_of_dim(r - 1)
     cols = cx.simplices_of_dim(r)
     index = {s: i for i, s in enumerate(rows)}
-    m = BitMatrix.zeros(len(rows), len(cols)).data.copy()
+    m = np.zeros((len(rows), len(cols)), dtype=np.uint8)
     for j, s in enumerate(cols):
         for i in range(len(s)):
             facet = s[:i] + s[i + 1:]

@@ -147,6 +147,35 @@ def test_cli_analyze_stdout(circle_path, capsys):
     assert len(data["level_bars"]) == 2
 
 
+HUGE = "1" * 401  # finite as an integer, too large for a float
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices": [{"id": 0, "value": %s}], "maximal_simplices": []}' % HUGE, r"vertices\[0\]\.value"),
+    ('{"filtration": {"times": [0, %s], "stages": [[[0]], [[0]]]}}' % HUGE, r"filtration\.times\[1\]"),
+    ('{"vertices": [{"id": 0, "value": %s}], "maximal_simplices": []}' % ("1" * 5000), "invalid JSON"),
+], ids=["vertex-value", "filtration-time", "past-digit-limit"])
+def test_huge_integer_literal_is_an_input_error(text, message, tmp_path, capsys):
+    with pytest.raises(InputError, match=message):
+        parse_input(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0000000000000002), (1e17, 2e17), (0, 1.7e308)])
+def test_cli_float_grid_failure_is_one_line(values, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
+                                "maximal_simplices": [[0, 1]]}))
+    for command in ["analyze", "sublevel", "level", "numbers", "check", "svg"]:
+        assert main([command, "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 def test_cli_check_passes(circle_path, capsys):
     assert main(["check", "--input", str(circle_path)]) == 0
     out = capsys.readouterr().out

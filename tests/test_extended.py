@@ -3,13 +3,13 @@ inputs the band route cannot reach in reasonable time."""
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import levelpers.report as report
 from levelpers import (
-    BitMatrix,
     Filtration,
     LevelBar,
     LevelBarcode,
@@ -20,17 +20,14 @@ from levelpers import (
     barcode_from_overlaps,
     betti_numbers,
     build_complex,
-    column_reduce,
     compute_relevant_numbers,
     critical_values,
     level_barcode,
-    lower_star_filtration,
     numbers_from_barcode,
     sublevel_barcode,
     sublevel_from_level,
     telescope,
 )
-from levelpers.gf2 import reduce_bit_columns
 from levelpers.level import first_difference
 from levelpers.sublevel import INF
 from conftest import FIXTURE_MAKERS, random_vertex_map
@@ -136,6 +133,21 @@ def large_telescope():
     return telescope(random_filtration(rng, grid_triangles(8), 4))
 
 
+def test_sublevel_memory_grows_with_the_columns_not_their_square():
+    # 9,283 simplices: a rows x cols array of bytes would take 86 MB alone
+    rng = np.random.default_rng(40)
+    cx = build_complex(grid_triangles(40))
+    values = rng.permutation(len(cx.vertices))
+    f = VertexValuedMap(cx, {v: float(values[i]) for i, v in enumerate(cx.vertices)})
+    tracemalloc.start()
+    try:
+        sublevel_barcode(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 @pytest.mark.parametrize("maker", [large_circle, large_grid, large_telescope])
 def test_large_inputs_are_consistent(maker):
     f = maker()
@@ -151,29 +163,6 @@ def test_large_inputs_are_consistent(maker):
     for x in grid.regulars:
         betti = betti_numbers(builder.level(x), top)
         assert [nums.level_rank(r, x) for r in range(top + 1)] == list(betti), x
-
-
-# --- the reduction core ----------------------------------------------------------
-
-def test_bit_column_core_matches_dense_wrapper():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        order = lower_star_filtration(random_vertex_map(rng))
-        index = {s: i for i, (s, _) in enumerate(order)}
-        columns = []
-        dense = np.zeros((len(order), len(order)), dtype=np.uint8)
-        for j, (s, _) in enumerate(order):
-            bits = 0
-            for i in range(len(s) if len(s) > 1 else 0):
-                bits |= 1 << index[s[:i] + s[i + 1:]]
-                dense[index[s[:i] + s[i + 1:]], j] = 1
-            columns.append(bits)
-        assert reduce_bit_columns(columns) == column_reduce(BitMatrix(dense))
-
-
-def test_bit_column_core_rejects_bad_order():
-    with pytest.raises(ValueError, match="column 1 violates the filtration order"):
-        reduce_bit_columns([0, 0b10])
 
 
 # --- first difference and cross-validation -----------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import levelpers.report as report
 from levelpers import (
+    BitMatrix,
     Filtration,
     LevelBar,
     LevelBarcode,
@@ -20,9 +21,11 @@ from levelpers import (
     barcode_from_overlaps,
     betti_numbers,
     build_complex,
+    column_reduce,
     compute_relevant_numbers,
     critical_values,
     level_barcode,
+    lower_star_filtration,
     numbers_from_barcode,
     sublevel_barcode,
     sublevel_from_level,
@@ -163,6 +166,30 @@ def test_large_inputs_are_consistent(maker):
     for x in grid.regulars:
         betti = betti_numbers(builder.level(x), top)
         assert [nums.level_rank(r, x) for r in range(top + 1)] == list(betti), x
+
+
+# --- the reduction core ----------------------------------------------------------
+
+def test_bit_column_core_matches_dense_wrapper():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        order = lower_star_filtration(random_vertex_map(rng))
+        index = {s: i for i, (s, _) in enumerate(order)}
+        columns = []
+        dense = np.zeros((len(order), len(order)), dtype=np.uint8)
+        for j, (s, _) in enumerate(order):
+            bits = 0
+            for i in range(len(s) if len(s) > 1 else 0):
+                bits |= 1 << index[s[:i] + s[i + 1:]]
+                dense[index[s[:i] + s[i + 1:]], j] = 1
+            columns.append(bits)
+        bit_columns = BitMatrix.from_bits(columns, len(order))
+        assert column_reduce(bit_columns) == column_reduce(BitMatrix(dense))
+
+
+def test_bit_column_core_rejects_bad_order():
+    with pytest.raises(ValueError, match="column 1 violates the filtration order"):
+        column_reduce(BitMatrix.from_bits([0, 0b10], 2))
 
 
 # --- first difference and cross-validation -----------------------------------

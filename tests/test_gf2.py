@@ -288,8 +288,6 @@ def test_column_reduce_rejects_bad_order():
     m[1, 0] = 1  # entry at the diagonal-or-below
     with pytest.raises(ValueError):
         column_reduce(BitMatrix(m))
-    with pytest.raises(ValueError, match="column 1 violates the filtration order"):
-        column_reduce(BitMatrix.from_bits([0, 0b10], 2))
 
 
 def test_column_reduce_indices_appear_once():
@@ -300,15 +298,10 @@ def test_column_reduce_indices_appear_once():
         order = lower_star_filtration(f)
         index = {s: i for i, (s, _) in enumerate(order)}
         m = np.zeros((len(order), len(order)), dtype=np.uint8)
-        columns = []
         for j, (s, _) in enumerate(order):
-            bits = 0
             if len(s) > 1:
                 for i in range(len(s)):
                     m[index[s[:i] + s[i + 1:]], j] = 1
-                    bits |= 1 << index[s[:i] + s[i + 1:]]
-            columns.append(bits)
         pairs, essential = column_reduce(BitMatrix(m))
-        assert column_reduce(BitMatrix.from_bits(columns, len(order))) == (pairs, essential)
         used = [i for p in pairs for i in p] + list(essential)
         assert len(used) == len(set(used))

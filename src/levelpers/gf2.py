@@ -14,7 +14,10 @@ off that one reduction.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BitMatrix",
@@ -46,6 +49,8 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, data) -> None:
+        import numpy as np  # here, not at module level, so importing levelpers does not load numpy
+
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
@@ -227,6 +232,8 @@ class HomologyPresentation:
 
     def coordinates(self, cycle) -> np.ndarray:
         """Homology coordinates of one cycle vector; raises if not a cycle."""
+        import numpy as np  # here, not at module level, so importing levelpers does not load numpy
+
         v = BitMatrix(np.asarray(cycle).reshape(self.ambient_dim, 1)).columns[0]
         ok, hom = self._decompose(v)
         if not ok:

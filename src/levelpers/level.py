@@ -20,6 +20,9 @@ degree, indexed over the grid of critical and regular values:
 These determine, and are determined by, the counts of the four kinds of
 level bars (closed/open at each end); both conversion directions are
 implemented, together with the export of level bars to sub-level bars.
+Each number counts bars: a bar adds its multiplicity to every entry
+whose condition it meets, so numbers_from_barcode fills the tables in
+one pass over the bars, and RelevantNumbers keeps only nonzero entries.
 compute_relevant_numbers computes the numbers directly, band by band,
 from level and interlevel cell complexes; it is independent of the cone
 reduction and serves as its oracle in the checks and tests.
@@ -28,6 +31,8 @@ reduction and serves as its oracle in the checks and tests.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
@@ -210,56 +215,48 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
 
 
 class RelevantNumbers:
-    """The five number families over a critical grid, with zero conventions.
+    """The five number families over a critical grid, as sparse tables.
 
-    Accessors return 0 whenever an argument leaves the critical range
-    (the sentinel grid points) and whenever a kernel-overlap query is
-    oriented against its probe; the stored tables only hold in-range
-    entries, so both the direct and the bar-derived constructions fill
-    an identical domain.
+    Only nonzero entries are stored.  Both constructions fill entries at
+    in-range grid points only, with u >= t in up and kernel-overlap keys
+    and d <= t in down and kernel-overlap keys, so a sentinel, a degree
+    out of range or a reversed argument reads 0 without a check.
     """
 
     def __init__(self, grid: CriticalGrid, max_degree: int,
                  level: dict, overlap: dict, up: dict, down: dict, both: dict) -> None:
         self.grid = grid
         self.max_degree = max_degree
-        self._level = level
-        self._overlap = overlap
-        self._up = up
-        self._down = down
-        self._both = both
-
-    def _ok(self, *args) -> bool:
-        lo, hi = self.grid.criticals[0], self.grid.criticals[-1]
-        for x in args:
-            if not lo <= x <= hi:
-                return False
-        return True
+        self._level = {k: m for k, m in level.items() if m}
+        self._overlap = {k: m for k, m in overlap.items() if m}
+        self._up = {k: m for k, m in up.items() if m}
+        self._down = {k: m for k, m in down.items() if m}
+        self._both = {k: m for k, m in both.items() if m}
 
     def level_rank(self, r: int, t: float) -> int:
-        if r < 0 or r > self.max_degree or not self._ok(t):
-            return 0
-        return self._level[(r, t)]
+        return self._level.get((r, t), 0)
 
     def image_overlap(self, r: int, t: float, u: float) -> int:
-        if r < 0 or r > self.max_degree or not self._ok(t, u):
-            return 0
-        return self._overlap[(r, t, u)]
+        return self._overlap.get((r, t, u), 0)
 
     def up_kernel(self, r: int, t: float, u: float) -> int:
-        if r < 0 or r > self.max_degree or u < t or not self._ok(t, u):
-            return 0
-        return self._up[(r, t, u)]
+        return self._up.get((r, t, u), 0)
 
     def down_kernel(self, r: int, t: float, d: float) -> int:
-        if r < 0 or r > self.max_degree or d > t or not self._ok(t, d):
-            return 0
-        return self._down[(r, t, d)]
+        return self._down.get((r, t, d), 0)
 
     def kernel_overlap(self, r: int, t: float, u: float, d: float) -> int:
-        if r < 0 or r > self.max_degree or u < t or d > t or not self._ok(t, u, d):
-            return 0
-        return self._both[(r, t, u, d)]
+        return self._both.get((r, t, u, d), 0)
+
+    def entries(self, name: str) -> list[tuple[tuple, int]]:
+        """Sorted (key, count) pairs of the nonzero entries of one family.
+
+        name is the accessor's name; keys are its arguments as a tuple,
+        (r, t), (r, t, u), (r, t, d) or (r, t, u, d).
+        """
+        table = {"level_rank": self._level, "image_overlap": self._overlap, "up_kernel": self._up,
+                 "down_kernel": self._down, "kernel_overlap": self._both}[name]
+        return sorted(table.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelevantNumbers):
@@ -359,36 +356,35 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
                          max_degree: int | None = None) -> RelevantNumbers:
     """Derive all five number families from a level barcode by counting.
 
-    image_overlap counts bars containing both points; level_rank counts
-    bars through one point; up/down kernels count bars through the point
-    whose open end falls inside the reach; kernel_overlap counts bars
-    open at both ends within both reaches.
+    Each bar adds its multiplicity to level_rank at every in-range grid
+    point t it contains and to image_overlap at every pair t <= u of
+    them.  An open right end reaches every point u at or above it: the
+    bar adds to up_kernel(t, u).  An open left end reaches every d at or
+    below it: down_kernel(t, d).  A bar open at both ends adds to
+    kernel_overlap(t, u, d).  The cost is the bars plus the entries.
     """
     top = bc.max_degree() if max_degree is None else max_degree
     top = max(top, 0)
     pts = _in_range_points(grid)
-    level: dict = {}
-    overlap: dict = {}
-    up: dict = {}
-    down: dict = {}
-    both: dict = {}
-    for r in range(top + 1):
-        bars = [(b, m) for b, m in bc.counts.items() if b.degree == r]
-        for ix, x in enumerate(pts):
-            level[(r, x)] = sum(m for b, m in bars if b.contains_value(x))
-            for u in pts[ix:]:
-                overlap[(r, x, u)] = sum(m for b, m in bars if b.contains_interval(x, u))
-                up[(r, x, u)] = sum(m for b, m in bars
-                                    if b.contains_value(x) and not b.right_closed and b.right <= u)
-            for d in pts[: ix + 1]:
-                down[(r, x, d)] = sum(m for b, m in bars
-                                      if b.contains_value(x) and not b.left_closed and b.left >= d)
-            for u in pts[ix:]:
-                for d in pts[: ix + 1]:
-                    both[(r, x, u, d)] = sum(
-                        m for b, m in bars
-                        if (not b.left_closed and not b.right_closed
-                            and b.contains_value(x) and b.left >= d and b.right <= u))
+    level, overlap, up, down, both = Counter(), Counter(), Counter(), Counter(), Counter()
+    for b, m in bc.counts.items():
+        r = b.degree
+        if not 0 <= r <= top:
+            continue
+        inside = pts[bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left):
+                     bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)]
+        reach_up = [] if b.right_closed else pts[bisect_left(pts, b.right):]
+        reach_down = [] if b.left_closed else pts[:bisect_right(pts, b.left)]
+        for i, t in enumerate(inside):
+            level[(r, t)] += m
+            for u in inside[i:]:
+                overlap[(r, t, u)] += m
+            for d in reach_down:
+                down[(r, t, d)] += m
+            for u in reach_up:
+                up[(r, t, u)] += m
+                for d in reach_down:
+                    both[(r, t, u, d)] += m
     return RelevantNumbers(grid, top, level, overlap, up, down, both)
 
 

@@ -18,8 +18,6 @@ import logging
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .complexes import Filtration, VertexValuedMap, build_complex, critical_values, telescope
 from .gf2 import induced_map, rank
 from .level import (
@@ -167,7 +165,7 @@ class ResultDocument:
     checks: list[dict] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(vars(self), indent=2)  # asdict would deep-copy every row first
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -209,34 +207,16 @@ def _level_rows(bc: LevelBarcode) -> list[dict]:
     return rows
 
 
+_NUMBER_ARGS = {"level_rank": ("t",), "image_overlap": ("t", "u"), "up_kernel": ("t", "u"),
+                "down_kernel": ("t", "d"), "kernel_overlap": ("t", "u", "d")}
+
+
 def _number_rows(nums, grid) -> dict[str, list[dict]]:
-    T = grid.criticals
-    out: dict[str, list[dict]] = {
-        "level_rank": [], "image_overlap": [], "up_kernel": [], "down_kernel": [], "kernel_overlap": [],
-    }
-    for r in range(nums.max_degree + 1):
-        for i, t in enumerate(T):
-            c = nums.level_rank(r, t)
-            if c:
-                out["level_rank"].append({"degree": r, "t": fmt_value(t), "count": c})
-            for u in T[i:]:
-                c = nums.image_overlap(r, t, u)
-                if c:
-                    out["image_overlap"].append({"degree": r, "t": fmt_value(t), "u": fmt_value(u), "count": c})
-                c = nums.up_kernel(r, t, u)
-                if c:
-                    out["up_kernel"].append({"degree": r, "t": fmt_value(t), "u": fmt_value(u), "count": c})
-            for d in T[: i + 1]:
-                c = nums.down_kernel(r, t, d)
-                if c:
-                    out["down_kernel"].append({"degree": r, "t": fmt_value(t), "d": fmt_value(d), "count": c})
-            for u in T[i:]:
-                for d in T[: i + 1]:
-                    c = nums.kernel_overlap(r, t, u, d)
-                    if c:
-                        out["kernel_overlap"].append({
-                            "degree": r, "t": fmt_value(t), "u": fmt_value(u), "d": fmt_value(d), "count": c})
-    return out
+    """Nonzero entries of each family whose arguments are all critical values."""
+    critical = set(grid.criticals)
+    return {name: [{"degree": key[0], **{a: fmt_value(x) for a, x in zip(args, key[1:])}, "count": c}
+                   for key, c in nums.entries(name) if critical.issuperset(key[1:])]
+            for name, args in _NUMBER_ARGS.items()}
 
 
 @dataclass
@@ -252,6 +232,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     Randomized probes (extra regular values, refinement slices) are
     drawn from the given seed.
     """
+    import numpy as np  # here, not at module level, so importing levelpers does not load numpy
+
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -392,17 +374,16 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
     """
     f = input_to_map(parsed)
     if not f.complex.simplices:
-        return ResultDocument([], 0, [], [], {
-            "level_rank": [], "image_overlap": [], "up_kernel": [], "down_kernel": [], "kernel_overlap": []},
-            checks=[] if include_checks else None)
+        return ResultDocument([], 0, [], [], {name: [] for name in _NUMBER_ARGS},
+                              checks=[] if include_checks else None)
     start = time.perf_counter()
 
     def stage(message: str, *args) -> None:
         _log.debug(message + " (%.3f s)", *args, time.perf_counter() - start)
 
     grid = critical_values(f)
-    top = f.complex.dim if max_degree is None else max_degree
-    top = max(top, 0)
+    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
+    top = min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
     stage("grid: %d simplices, %d critical values", len(f.complex.simplices), len(grid.criticals))
     bc = level_barcode(f, grid, top)
     stage("level route: %d bars", sum(bc.counts.values()))
@@ -422,7 +403,7 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
         stage("checks: %d run", len(checks))
     return ResultDocument(
         criticals=[fmt_value(t) for t in grid.criticals],
-        max_degree=top,
+        max_degree=requested,
         sublevel_bars=_sublevel_rows(sb),
         level_bars=_level_rows(bc),
         numbers=_number_rows(nums, grid),

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from levelpers.report import (
     svg_text,
 )
 from levelpers import Filtration, VertexValuedMap
+from conftest import make_octahedron, make_square_circle
 
 CIRCLE_DOC = json.dumps({
     "vertices": [
@@ -88,6 +93,25 @@ def test_analyze_empty_complex():
     doc = analyze(parse_input('{"vertices": [], "maximal_simplices": []}'), include_checks=True)
     assert doc.criticals == [] and doc.level_bars == [] and doc.sublevel_bars == []
     assert doc.checks == []
+
+
+@pytest.mark.parametrize("include_checks", [False, True])
+def test_max_degree_above_the_dimension_changes_only_its_field(include_checks):
+    # no degree above the complex dimension has a bar or a nonzero number,
+    # so the computation stops there and only the reported field differs
+    for f in (make_square_circle(), make_octahedron()):
+        high = analyze(f, max_degree=10**4, include_checks=include_checks)
+        low = analyze(f, max_degree=f.complex.dim, include_checks=include_checks)
+        assert high.max_degree == 10**4
+        high.max_degree = low.max_degree
+        assert high.to_json() == low.to_json()
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, levelpers.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_result_document_json_round_trip():

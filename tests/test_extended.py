@@ -109,6 +109,44 @@ def band_route_document(f):
     )
 
 
+def probed_number_rows(nums, grid):
+    """The document's number tables probed through the accessors over
+    critical tuples in (degree, t, u, d) order."""
+    T = grid.criticals
+    out = {name: [] for name in ("level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap")}
+
+    def row(name, count, **args):
+        if count:
+            out[name].append({"degree": r, **{k: report.fmt_value(x) for k, x in args.items()}, "count": count})
+
+    for r in range(nums.max_degree + 1):
+        for i, t in enumerate(T):
+            row("level_rank", nums.level_rank(r, t), t=t)
+            for u in T[i:]:
+                row("image_overlap", nums.image_overlap(r, t, u), t=t, u=u)
+                row("up_kernel", nums.up_kernel(r, t, u), t=t, u=u)
+            for d in T[: i + 1]:
+                row("down_kernel", nums.down_kernel(r, t, d), t=t, d=d)
+            for u in T[i:]:
+                for d in T[: i + 1]:
+                    row("kernel_overlap", nums.kernel_overlap(r, t, u, d), t=t, u=u, d=d)
+    return out
+
+
+def test_number_rows_match_probed_tables():
+    # the JSON text pins row order and key order, which dict equality ignores
+    rng = np.random.default_rng(12)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()]
+    maps += [random_vertex_map(rng) for _ in range(40)]
+    for k, f in enumerate(maps):
+        grid = critical_values(f)
+        tables = [numbers_from_barcode(level_barcode(f, grid, top), grid, top) for top in (0, f.complex.dim, 3)]
+        if k < len(FIXTURE_MAKERS):
+            tables.append(compute_relevant_numbers(f, grid=grid))
+        for nums in tables:
+            assert json.dumps(report._number_rows(nums, grid)) == json.dumps(probed_number_rows(nums, grid))
+
+
 def test_analyze_document_equals_band_route_document():
     rng = np.random.default_rng(11)
     maps = [maker() for maker in FIXTURE_MAKERS.values()]

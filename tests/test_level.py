@@ -5,6 +5,7 @@ from levelpers import (
     CriticalGrid,
     LevelBar,
     LevelBarcode,
+    RelevantNumbers,
     barcode_from_kernels,
     barcode_from_overlaps,
     build_complex,
@@ -16,7 +17,7 @@ from levelpers import (
     VertexValuedMap,
 )
 from levelpers.sublevel import INF
-from conftest import random_vertex_map
+from conftest import FIXTURE_MAKERS, random_vertex_map
 
 
 def bars_of(bc):
@@ -69,6 +70,55 @@ def test_conventions_out_of_range_and_orientation(square_circle):
     # kernel overlap vanishes when the probe is outside the reach
     assert nums.kernel_overlap(0, 0.5, 2.0, 1.0) == 0   # down end above the probe
     assert nums.kernel_overlap(0, 1.5, 1.0, 0.0) == 0   # up end below the probe
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
+def test_zero_outside_the_stored_domain(name):
+    # sentinels, degrees out of range and reversed reaches read 0 in both
+    # constructions, although no accessor checks its arguments
+    direct = compute_relevant_numbers(FIXTURE_MAKERS[name]())
+    derived = numbers_from_barcode(barcode_from_overlaps(direct), direct.grid, direct.max_degree)
+    for nums in (direct, derived):
+        grid, top = nums.grid, nums.max_degree
+        below, above = grid.regulars[0], grid.regulars[-1]
+        pts = [x for x in grid.points if grid.in_range(x)]
+        for r in range(-1, top + 2):
+            for s in (below, above):
+                assert nums.level_rank(r, s) == 0
+                for t in pts:
+                    assert nums.image_overlap(r, s, t) == nums.image_overlap(r, t, s) == 0
+                    assert nums.up_kernel(r, t, s) == nums.down_kernel(r, t, s) == 0
+                    assert nums.kernel_overlap(r, t, above, s) == nums.kernel_overlap(r, t, s, below) == 0
+            for t in pts:
+                for u in pts:
+                    for d in pts:
+                        if u < t or d > t:
+                            assert nums.kernel_overlap(r, t, u, d) == 0
+                    if u < t:
+                        assert nums.up_kernel(r, t, u) == 0
+                    if u > t:
+                        assert nums.down_kernel(r, t, u) == 0
+            if r in (-1, top + 1):
+                for i, t in enumerate(pts):
+                    assert nums.level_rank(r, t) == 0
+                    for u in pts[i:]:
+                        assert nums.image_overlap(r, t, u) == nums.up_kernel(r, t, u) == 0
+                        assert nums.down_kernel(r, u, t) == 0
+                        assert all(nums.kernel_overlap(r, t, u, d) == 0 for d in pts[: i + 1])
+
+
+def test_zero_entries_are_not_stored():
+    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    tables = [{(0, 0.0): 1}, {(0, 0.0, 1.0): 1}, {(0, 0.0, 1.0): 2}, {(0, 1.0, 0.0): 1},
+              {(0, 0.5, 1.0, 0.0): 1}]
+    zeros = [{(0, 0.5): 0}, {(0, 0.5, 1.0): 0}, {(0, 0.5, 1.0): 0}, {(0, 1.0, 0.5): 0},
+             {(0, 0.5, 1.0, 0.5): 0}]
+    sparse = RelevantNumbers(grid, 0, *tables)
+    padded = RelevantNumbers(grid, 0, *({**t, **z} for t, z in zip(tables, zeros)))
+    assert padded == sparse
+    names = ["level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap"]
+    for name, table in zip(names, tables):
+        assert padded.entries(name) == sparse.entries(name) == sorted(table.items())
 
 
 def test_barcode_from_overlaps_fixtures(square_circle, octahedron, lambda_map):

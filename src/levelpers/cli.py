@@ -8,6 +8,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,6 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # built on the first main() call
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -73,7 +77,7 @@ def _bars_subset(doc: ResultDocument, keep: str) -> ResultDocument:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             parsed = parse_input(handle.read())

@@ -148,12 +148,6 @@ class CriticalGrid:
         """The regular value immediately above the k-th critical."""
         return self.regulars[k + 1]
 
-    def critical_index(self, t: float) -> int:
-        try:
-            return self.criticals.index(t)
-        except ValueError:
-            raise ValueError(f"{t} is not a critical value") from None
-
     def in_range(self, x: float) -> bool:
         return self.criticals[0] <= x <= self.criticals[-1]
 

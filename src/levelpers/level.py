@@ -221,6 +221,9 @@ class RelevantNumbers:
     in-range grid points only, with u >= t in up and kernel-overlap keys
     and d <= t in down and kernel-overlap keys, so a sentinel, a degree
     out of range or a reversed argument reads 0 without a check.
+    Arguments must be grid values: an in-range value between two grid
+    points also reads 0 (on the square circle level_rank(0, 0.3) is 0,
+    though the level at 0.3 has rank 2, as at the grid value 0.5).
     """
 
     def __init__(self, grid: CriticalGrid, max_degree: int,
@@ -388,18 +391,27 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
     return RelevantNumbers(grid, top, level, overlap, up, down, both)
 
 
-def _require_nonneg(value: int, what: str) -> int:
+def _require_nonneg(value: int, what: str, *args) -> int:
+    """Return value, or raise naming what % args when it is negative."""
     if value < 0:
-        raise ValueError(f"{what} is negative: input numbers are not realizable by a tame map")
+        raise ValueError(f"{what % args} is negative: input numbers are not realizable by a tame map")
     return value
+
+
+# (left closed, right closed) of the four bar kinds
+_KINDS = ((True, True), (False, False), (False, True), (True, False))
 
 
 def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     """Level bar counts from the image-overlap table alone.
 
-    Each of the four bar kinds is a four-term difference of overlaps at
-    the critical pair and its neighbouring regular values; sentinel
-    arguments contribute zero.
+    An end at a critical value has a grid point just inside the bar and
+    one just outside it: a closed end is inside itself and has its
+    regular neighbour away from the bar outside; an open end is outside
+    itself and has its regular neighbour towards the bar inside.  The
+    count of a bar with inside points x, y and outside points x', y' is
+    ov(x, y) - ov(x', y) - ov(x, y') + ov(x', y'), one rule for all four
+    kinds; a singleton is closed at both ends, and a sentinel reads 0.
     """
     grid = nums.grid
     T = grid.criticals
@@ -407,34 +419,15 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     for r in range(nums.max_degree + 1):
         ov = lambda x, y: nums.image_overlap(r, x, y)
         for k, tk in enumerate(T):
-            below_k = grid.regular_below(k)
-            above_k = grid.regular_above(k)
             for j in range(k, len(T)):
                 tj = T[j]
-                below_j = grid.regular_below(j)
-                above_j = grid.regular_above(j)
-                cc = _require_nonneg(
-                    ov(tk, tj) - ov(below_k, tj) - ov(tk, above_j) + ov(below_k, above_j),
-                    f"closed-closed count at [{tk}, {tj}] in degree {r}")
-                if cc:
-                    counts[LevelBar(r, tk, tj, True, True)] = cc
-                if j == k:
-                    continue
-                oo = _require_nonneg(
-                    ov(above_k, below_j) - ov(tk, below_j) - ov(above_k, tj) + ov(tk, tj),
-                    f"open-open count at ({tk}, {tj}) in degree {r}")
-                if oo:
-                    counts[LevelBar(r, tk, tj, False, False)] = oo
-                oc = _require_nonneg(
-                    ov(above_k, tj) - ov(tk, tj) - ov(above_k, above_j) + ov(tk, above_j),
-                    f"open-closed count at ({tk}, {tj}] in degree {r}")
-                if oc:
-                    counts[LevelBar(r, tk, tj, False, True)] = oc
-                co = _require_nonneg(
-                    ov(tk, below_j) - ov(tk, tj) - ov(below_k, below_j) + ov(below_k, tj),
-                    f"closed-open count at [{tk}, {tj}) in degree {r}")
-                if co:
-                    counts[LevelBar(r, tk, tj, True, False)] = co
+                for lc, rc in _KINDS if j > k else _KINDS[:1]:
+                    x, x_out = (tk, grid.regular_below(k)) if lc else (grid.regular_above(k), tk)
+                    y, y_out = (tj, grid.regular_above(j)) if rc else (grid.regular_below(j), tj)
+                    m = ov(x, y) - ov(x_out, y) - ov(x, y_out) + ov(x_out, y_out)
+                    if m:
+                        bar = LevelBar(r, tk, tj, lc, rc)
+                        counts[bar] = _require_nonneg(m, "count of %s", bar)
     return LevelBarcode(grid, counts)
 
 
@@ -459,7 +452,7 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
                 e = lambda upper, lower: nums.kernel_overlap(r, probe, upper, lower)
                 oo[(k, j)] = _require_nonneg(
                     e(T[j], T[k]) - e(T[j], T[k + 1]) - e(T[j - 1], T[k]) + e(T[j - 1], T[k + 1]),
-                    f"open-open count at ({T[k]}, {T[j]}) in degree {r}")
+                    "open-open count at (%s, %s) in degree %s", T[k], T[j], r)
 
         def span_count(i: int, j: int) -> int:
             if i < 0 or j >= n or i > j:
@@ -472,7 +465,7 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
                 return 0
             return _require_nonneg(
                 nums.up_kernel(r, T[i], T[j]) - nums.up_kernel(r, T[i], T[j - 1]),
-                f"auxiliary right-open count at ({T[i]}, {T[j]}) in degree {r}")
+                "auxiliary right-open count at (%s, %s) in degree %s", T[i], T[j], r)
 
         def left_open_count(i: int, j: int) -> int:
             # bars meeting the level at T[j] with an open left end at T[i]
@@ -480,7 +473,7 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
                 return 0
             return _require_nonneg(
                 nums.down_kernel(r, T[j], T[i]) - nums.down_kernel(r, T[j], T[i + 1]),
-                f"auxiliary left-open count at ({T[i]}, {T[j]}) in degree {r}")
+                "auxiliary left-open count at (%s, %s) in degree %s", T[i], T[j], r)
 
         def left_closed_count(i: int, j: int) -> int:
             # bars meeting the level at T[j] with a closed left end at T[i]
@@ -488,65 +481,52 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
                 return 0
             return _require_nonneg(
                 span_count(i, j) - span_count(i - 1, j) - left_open_count(i - 1, j),
-                f"auxiliary left-closed count at [{T[i]}, {T[j]}) in degree {r}")
+                "auxiliary left-closed count at [%s, %s) in degree %s", T[i], T[j], r)
 
         oc: dict[tuple[int, int], int] = {}
         for k in range(n):
             for j in range(n - 1, k, -1):
                 oc[(k, j)] = _require_nonneg(
                     left_open_count(k, j) - left_open_count(k, j + 1) - oo.get((k, j + 1), 0),
-                    f"open-closed count at ({T[k]}, {T[j]}] in degree {r}")
+                    "open-closed count at (%s, %s] in degree %s", T[k], T[j], r)
         co: dict[tuple[int, int], int] = {}
         for j in range(n):
             for k in range(j):
                 co[(k, j)] = _require_nonneg(
                     right_open_count(k, j) - right_open_count(k - 1, j) - oo.get((k - 1, j), 0),
-                    f"closed-open count at [{T[k]}, {T[j]}) in degree {r}")
+                    "closed-open count at [%s, %s) in degree %s", T[k], T[j], r)
         cc: dict[tuple[int, int], int] = {}
         for k in range(n):
             for j in range(n - 1, k - 1, -1):
                 cc[(k, j)] = _require_nonneg(
                     left_closed_count(k, j) - left_closed_count(k, j + 1) - co.get((k, j + 1), 0),
-                    f"closed-closed count at [{T[k]}, {T[j]}] in degree {r}")
+                    "closed-closed count at [%s, %s] in degree %s", T[k], T[j], r)
 
-        for (k, j), m in oo.items():
-            if m:
-                counts[LevelBar(r, T[k], T[j], False, False)] = m
-        for (k, j), m in oc.items():
-            if m:
-                counts[LevelBar(r, T[k], T[j], False, True)] = m
-        for (k, j), m in co.items():
-            if m:
-                counts[LevelBar(r, T[k], T[j], True, False)] = m
-        for (k, j), m in cc.items():
-            if m:
-                counts[LevelBar(r, T[k], T[j], True, True)] = m
+        for (lc, rc), table in zip(_KINDS, (cc, oo, oc, co)):
+            for (k, j), m in table.items():
+                if m:
+                    counts[LevelBar(r, T[k], T[j], lc, rc)] = m
     return LevelBarcode(grid, counts)
 
 
 def sublevel_from_level(bc: LevelBarcode, max_degree: int | None = None) -> SublevelBarcode:
-    """Sub-level bars from level bars.
+    """Sub-level bars from level bars, in one pass over the bars.
 
     A closed-open bar [b, d) survives as the same finite bar; a
     closed-closed bar starting at b feeds an infinite bar at b; an
-    open-open bar of one degree lower ending at d feeds an infinite bar
-    at d; open-closed bars contribute nothing.
+    open-open bar ending at d feeds an infinite bar at d one degree up;
+    open-closed bars contribute nothing.  Sub-level degrees above
+    max_degree + 1 (default: the highest level degree + 1) are dropped.
     """
-    T = bc.grid.criticals
     top = bc.max_degree() if max_degree is None else max_degree
-    bars: dict[tuple[int, float, float], int] = {}
-    for r in range(top + 2):
-        for bar, mult in bc.counts.items():
-            if bar.degree == r and bar.left_closed and not bar.right_closed:
-                key = (r, bar.left, bar.right)
-                bars[key] = bars.get(key, 0) + mult
-        for t in T:
-            inf_mult = sum(m for b, m in bc.counts.items()
-                           if b.degree == r and b.left_closed and b.right_closed and b.left == t)
-            inf_mult += sum(m for b, m in bc.counts.items()
-                            if b.degree == r - 1 and not b.left_closed and not b.right_closed
-                            and b.right == t)
-            if inf_mult:
-                key = (r, t, INF)
-                bars[key] = bars.get(key, 0) + inf_mult
+    bars: Counter = Counter()
+    for b, m in bc.counts.items():
+        if b.left_closed:
+            key = (b.degree, b.left, INF if b.right_closed else b.right)
+        elif not b.right_closed:
+            key = (b.degree + 1, b.right, INF)
+        else:
+            continue
+        if key[0] <= top + 1:
+            bars[key] += m
     return SublevelBarcode(bc.grid, bars)

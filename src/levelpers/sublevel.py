@@ -3,8 +3,8 @@
 Bars come from the classical column reduction of the lower-star
 filtration boundary matrix; Betti numbers of the persistence module are
 counted from bars by interval containment, and bar multiplicities are
-recovered from the Betti numbers by the standard four-case
-inclusion-exclusion over consecutive critical values.
+recovered from the Betti numbers by one inclusion-exclusion over
+consecutive critical values.
 """
 
 from __future__ import annotations
@@ -135,36 +135,27 @@ class BettiTable:
 
 
 def bars_from_betti(table: BettiTable) -> SublevelBarcode:
-    """Bar multiplicities from Betti numbers, one case per boundary situation.
+    """Bar multiplicities from Betti numbers by inclusion-exclusion.
 
-    For criticals t_0 < ... < t_N the multiplicity of [t_i, t_j) is the
-    four-term difference of Betti numbers at the neighbouring critical
-    pairs, with dedicated three-, two- and one-term forms when t_i is the
-    minimum or t_j is infinite.  Any negative result means the table is
-    not a persistence Betti table.
+    For criticals t_0 < ... < t_N, let p be the critical before t_i, with
+    the sentinel grid.regular_below(0) before t_0: no bar is born by it,
+    so its Betti numbers are 0.  The bars born at t_i that contain [t_i, y]
+    number a(y) = beta(t_i, y) - beta(p, y), so [t_i, t_j) has multiplicity
+    a(t_(j-1)) - a(t_j), the four-term difference, and [t_i, inf) has
+    a(inf).  Any negative result means the table is not a persistence
+    Betti table.
     """
     T = table.grid.criticals
+    before = (table.grid.regular_below(0),) + T
     bars: dict[tuple[int, float, float], int] = {}
     beta = table.beta
     for r in table.degrees:
         for i, ti in enumerate(T):
-            for j in range(i + 1, len(T)):
-                tj = T[j]
-                if i == 0:
-                    mult = beta[(r, T[0], T[j - 1])] - beta[(r, T[0], tj)]
-                else:
-                    mult = (beta[(r, ti, T[j - 1])] - beta[(r, T[i - 1], T[j - 1])]
-                            - beta[(r, ti, tj)] + beta[(r, T[i - 1], tj)])
+            a = [beta[(r, ti, y)] - beta[(r, before[i], y)] for y in T[i:] + (INF,)]
+            mults = [a[k] - a[k + 1] for k in range(len(a) - 2)] + [a[-1]]
+            for tj, mult in zip(T[i + 1:] + (INF,), mults):
                 if mult < 0:
                     raise ValueError(f"negative multiplicity for [{ti}, {tj}) in degree {r}: inconsistent table")
                 if mult:
                     bars[(r, ti, tj)] = mult
-            if i == 0:
-                mult = beta[(r, T[0], INF)]
-            else:
-                mult = beta[(r, ti, INF)] - beta[(r, T[i - 1], INF)]
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for [{ti}, inf) in degree {r}: inconsistent table")
-            if mult:
-                bars[(r, ti, INF)] = mult
     return SublevelBarcode(table.grid, bars)

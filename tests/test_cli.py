@@ -239,6 +239,31 @@ def test_cli_svg_and_outputs(circle_path, tmp_path, capsys):
     assert (tmp_path / "two.svg").read_bytes() == (tmp_path / "three.svg").read_bytes()
 
 
+def test_cli_main_twice_in_one_process(circle_path, tmp_path, capsys):
+    # the parser is shared between calls; no option leaks into the next one
+    svg_path = tmp_path / "a.svg"
+    assert main(["analyze", "--input", str(circle_path), "--svg", str(svg_path),
+                 "--output", str(tmp_path / "one.json")]) == 0
+    svg_path.unlink()
+    assert main(["analyze", "--input", str(circle_path), "--output", str(tmp_path / "two.json")]) == 0
+    assert not svg_path.exists()
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+def test_cli_check_seed_does_not_stick(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"vertices": [{"id": i, "value": (5 * i) % 12} for i in range(12)],
+                                "maximal_simplices": [[i, (i + 1) % 12] for i in range(12)]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "levelpers.cli", "check", "--input", str(path)],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    assert main(["check", "--input", str(path), "--seed", "3"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(["check", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == fresh != seeded
+
+
 def test_cli_sublevel_level_numbers_subcommands(circle_path, capsys):
     assert main(["sublevel", "--input", str(circle_path)]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -206,6 +206,23 @@ def test_large_inputs_are_consistent(maker):
         assert [nums.level_rank(r, x) for r in range(top + 1)] == list(betti), x
 
 
+def test_bridge_drops_degrees_above_the_cut():
+    # sublevel_from_level(bc, m) keeps the sub-level degrees <= m + 1 of
+    # the bridge, whatever degrees the level bars reach; None keeps all
+    rng = np.random.default_rng(46)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(60)]
+    cut_bites = False
+    for f in maps:
+        grid = critical_values(f)
+        bc = level_barcode(f, grid)
+        sb = sublevel_barcode(f, grid)
+        for m in (0, 1, None):
+            kept = {key: mult for key, mult in sb.bars.items() if m is None or key[0] <= m + 1}
+            assert sublevel_from_level(bc, m).bars == kept, (f, m)
+            cut_bites |= kept != sb.bars
+    assert cut_bites
+
+
 # --- the reduction core ----------------------------------------------------------
 
 def test_bit_column_core_matches_dense_wrapper():

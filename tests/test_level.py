@@ -268,6 +268,31 @@ def test_unrealizable_numbers_are_rejected():
         barcode_from_overlaps(nums)
 
 
+def test_overlap_route_names_the_negative_bar(square_circle):
+    # one inflated overlap makes the count of exactly one bar negative
+    nums = compute_relevant_numbers(square_circle)
+    nums._overlap[(0, 0.5, 1.5)] += 1
+    message = "count of H0 (0.0, 1.0] is negative: input numbers are not realizable by a tame map"
+    with pytest.raises(ValueError) as exc:
+        barcode_from_overlaps(nums)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("table, key, delta, message", [
+    ("_both", (0, 0.5, 2.0, 0.0), -1, "closed-closed count at [1.0, 1.0] in degree 0"),
+    ("_both", (0, 0.5, 2.0, 0.0), 1, "open-closed count at (0.0, 1.0] in degree 0"),
+    ("_down", (0, 1.0, 0.0), 1, "auxiliary left-closed count at [1.0, 1.0) in degree 0"),
+    ("_down", (0, 2.0, 0.0), 1, "open-closed count at (0.0, 1.0] in degree 0"),
+])
+def test_kernel_route_messages(square_circle, table, key, delta, message):
+    nums = compute_relevant_numbers(square_circle)
+    entries = getattr(nums, table)
+    entries[key] = entries.get(key, 0) + delta
+    with pytest.raises(ValueError) as exc:
+        barcode_from_kernels(nums)
+    assert str(exc.value) == message + " is negative: input numbers are not realizable by a tame map"
+
+
 def test_barcode_rejects_non_critical_endpoint():
     grid = CriticalGrid.from_criticals([0.0, 1.0])
     with pytest.raises(ValueError, match="non-critical"):

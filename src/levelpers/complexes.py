@@ -79,7 +79,7 @@ class VertexValuedMap:
     def __post_init__(self) -> None:
         cleaned = {}
         for v, x in self.values.items():
-            x = float(x)
+            x = float(x) + 0.0  # turns -0.0 into 0.0, so a zero value always prints as 0.0
             if not math.isfinite(x):
                 raise ValueError(f"value for vertex {v} is not finite")
             cleaned[int(v)] = x

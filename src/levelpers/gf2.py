@@ -79,14 +79,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls.from_bits([1 << i for i in range(n)], n)
 
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.rows
-        for j, c in enumerate(self.columns):
-            for i in range(c.bit_length()):
-                if c >> i & 1:
-                    out[i] |= 1 << j
-        return BitMatrix.from_bits(out, self.cols)
-
     def is_zero(self) -> bool:
         return not any(self.columns)
 
@@ -159,10 +151,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, BitMatrix.zeros(ambient_dim, 0))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -35,10 +35,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
+from .complexes import CriticalGrid, VertexValuedMap, critical_values
 from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis, Subspace
 from .slabs import SlabBuilder, homology_of, include_level
-from .sublevel import INF, SublevelBarcode
+from .sublevel import INF, SublevelBarcode, lower_star_boundary
 
 _log = logging.getLogger("levelpers")
 
@@ -76,14 +76,6 @@ class LevelBar:
         if self.left == self.right and not (self.left_closed and self.right_closed):
             raise ValueError("a singleton bar must be closed at both ends")
 
-    def contains_value(self, x: float) -> bool:
-        left_ok = self.left < x or (self.left == x and self.left_closed)
-        right_ok = x < self.right or (x == self.right and self.right_closed)
-        return left_ok and right_ok
-
-    def contains_interval(self, x: float, y: float) -> bool:
-        return self.contains_value(x) and self.contains_value(y)
-
     def __str__(self) -> str:
         lb = "[" if self.left_closed else "("
         rb = "]" if self.right_closed else ")"
@@ -115,10 +107,6 @@ class LevelBarcode:
 
     def max_degree(self) -> int:
         return max((b.degree for b in self.counts), default=-1)
-
-    def count_containing(self, r: int, x: float, y: float) -> int:
-        return sum(m for b, m in self.counts.items()
-                   if b.degree == r and b.contains_interval(x, y))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LevelBarcode):
@@ -172,21 +160,14 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
         grid = critical_values(f)
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
-    lower = lower_star_filtration(f)
+    lower, index, boundary = lower_star_boundary(f)
     upper = sorted(((s, f.min_on(s)) for s in f.complex.simplices),
                    key=lambda e: (-e[1], len(e[0]), e[0]))
     n = len(lower)
-    row = {s: 1 + i for i, (s, _) in enumerate(lower)}
     cone_row = {s: 1 + n + i for i, (s, _) in enumerate(upper)}
-    columns = [0]
-    for s, _ in lower:
-        bits = 0
-        if len(s) > 1:
-            for i in range(len(s)):
-                bits |= 1 << row[s[:i] + s[i + 1:]]
-        columns.append(bits)
+    columns = [0] + [bits << 1 for bits in boundary]  # row 0 is the cone point
     for s, _ in upper:
-        bits = 1 << row[s]
+        bits = 2 << index[s]  # s sits one row below the cone point
         if len(s) == 1:
             bits |= 1
         else:

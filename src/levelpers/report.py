@@ -31,7 +31,7 @@ from .level import (
     sublevel_from_level,
 )
 from .slabs import SlabBuilder, betti_numbers, homology_of, include_level, validate
-from .sublevel import INF, BettiTable, bars_from_betti, sublevel_barcode
+from .sublevel import INF, BettiTable, SublevelBarcode, bars_from_betti, sublevel_barcode
 
 __all__ = [
     "InputError",
@@ -314,10 +314,16 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     sb = sublevel_barcode(f, grid)
 
     def bridge_identity():
-        derived = sublevel_from_level(bc, nums.max_degree)
-        if derived != sb:
+        # sub-level degree d needs the level bars of degrees d - 1 and d
+        m = min(top + 1, f.complex.dim)
+        level = bc if top >= m else barcode_from_overlaps(compute_relevant_numbers(f, m, grid=grid))
+        derived = sublevel_from_level(level, m - 1)
+        reference = SublevelBarcode(grid, {key: mult for key, mult in sb.bars.items() if key[0] <= m})
+        if derived != reference:
             raise AssertionError("level-derived and reduction sub-level bars differ at "
-                                 f"{first_difference(derived, sb)}")
+                                 f"{first_difference(derived, reference)}")
+        if m < f.complex.dim:
+            return f"sub-level degrees 0..{m}"
 
     def betti_multiplicity_round_trip():
         back = bars_from_betti(BettiTable.from_barcode(sb))
@@ -367,8 +373,11 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
     """Full pipeline: level bars from the extended-persistence reduction
     of the cone, relevant-number tables counted from them, both
     conversion routes back to bars (which must reproduce them), sub-level
-    bars, and optionally the named invariant checks, which recompute
-    everything through the independent band route.
+    bars read off the same bars, and optionally the named invariant
+    checks, which recompute everything through the independent band route.
+    The cone is reduced once at every degree, since sub-level degree d
+    needs level degrees d - 1 and d; the level bars and the numbers stop
+    at min(max_degree, dim).
 
     Stage boundaries are logged at DEBUG level on the "levelpers" logger.
     """
@@ -385,7 +394,8 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
     requested = max(f.complex.dim if max_degree is None else max_degree, 0)
     top = min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
     stage("grid: %d simplices, %d critical values", len(f.complex.simplices), len(grid.criticals))
-    bc = level_barcode(f, grid, top)
+    full = level_barcode(f, grid)
+    bc = LevelBarcode(grid, {bar: m for bar, m in full.counts.items() if bar.degree <= top})
     stage("level route: %d bars", sum(bc.counts.values()))
     nums = numbers_from_barcode(bc, grid, top)
     stage("numbers: degrees 0..%d over %d critical values", top, len(grid.criticals))
@@ -395,7 +405,7 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
             raise RuntimeError(f"{route.__name__} does not reproduce the level barcode: "
                                f"{first_difference(bc, other)}")
     stage("conversions: both routes reproduce %d bars", sum(bc.counts.values()))
-    sb = sublevel_barcode(f, grid)
+    sb = sublevel_from_level(full)
     stage("sub-level: %d bars", sum(sb.bars.values()))
     checks = None
     if include_checks:

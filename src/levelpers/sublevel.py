@@ -4,7 +4,10 @@ Bars come from the classical column reduction of the lower-star
 filtration boundary matrix; Betti numbers of the persistence module are
 counted from bars by interval containment, and bar multiplicities are
 recovered from the Betti numbers by one inclusion-exclusion over
-consecutive critical values.
+consecutive critical values.  lower_star_boundary builds that matrix
+for both reductions; level_barcode shifts it one row down, below the
+cone point.  analyze reads the sub-level bars off the cone instead
+(sublevel_from_level), and check compares them with sublevel_barcode.
 """
 
 from __future__ import annotations
@@ -63,14 +66,9 @@ class SublevelBarcode:
         return f"SublevelBarcode({', '.join(parts)})"
 
 
-def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> SublevelBarcode:
-    """Bars of the sub-level persistence module via column reduction.
-
-    A pair of simplices entering at equal values is a zero-length bar
-    and is dropped; unpaired positive simplices give infinite bars.
-    """
-    if grid is None:
-        grid = critical_values(f)
+def lower_star_boundary(f: VertexValuedMap):
+    """(order, index, columns): the lower-star (simplex, value) pairs,
+    each simplex's position, and its boundary as a bit column."""
     order = lower_star_filtration(f)
     index = {s: i for i, (s, _) in enumerate(order)}
     columns = []
@@ -80,6 +78,18 @@ def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> Su
             for i in range(len(simplex)):
                 bits |= 1 << index[simplex[:i] + simplex[i + 1:]]
         columns.append(bits)
+    return order, index, columns
+
+
+def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> SublevelBarcode:
+    """Bars of the sub-level persistence module via column reduction.
+
+    A pair of simplices entering at equal values is a zero-length bar
+    and is dropped; unpaired positive simplices give infinite bars.
+    """
+    if grid is None:
+        grid = critical_values(f)
+    order, _, columns = lower_star_boundary(f)
     pairs, essential = column_reduce(BitMatrix.from_bits(columns, len(order)))
 
     bars: dict[tuple[int, float, float], int] = {}

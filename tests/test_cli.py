@@ -13,6 +13,7 @@ from levelpers.report import (
     InputError,
     ResultDocument,
     analyze,
+    numbers_to_csv,
     parse_input,
     render_svg,
     result_to_csv,
@@ -87,6 +88,21 @@ def test_analyze_circle_document():
     sub = {(r["degree"], r["birth"], r["death"]): r["multiplicity"] for r in doc.sublevel_bars}
     assert sub == {(0, "0.0", None): 1, (1, "2.0", None): 1}
     assert {"level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap"} == set(doc.numbers)
+
+
+def test_signed_zeros_print_as_one_zero():
+    def outputs(a, b):
+        doc = analyze(parse_input(json.dumps({
+            "vertices": [{"id": 0, "value": a}, {"id": 1, "value": b}, {"id": 2, "value": 1.0}],
+            "maximal_simplices": [[0, 1, 2]],
+        })))
+        return doc, (doc.to_json(), svg_text(doc), result_to_csv(doc), numbers_to_csv(doc))
+
+    doc, text = outputs(0.0, -0.0)
+    ends = {r[k] for r in doc.level_bars + doc.sublevel_bars for k in ("birth", "death")}
+    assert doc.criticals == ["0.0", "1.0"]
+    assert ends - {None} <= set(doc.criticals)
+    assert outputs(-0.0, 0.0)[1] == text
 
 
 def test_analyze_empty_complex():

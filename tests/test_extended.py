@@ -223,6 +223,62 @@ def test_bridge_drops_degrees_above_the_cut():
     assert cut_bites
 
 
+# --- one reduction per analyze ---------------------------------------------------
+
+def hollow_tetrahedron():
+    cx = build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    return VertexValuedMap(cx, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0})
+
+
+def seeded_grids(count, seed):
+    """3 x 3 triangulated grids with distinct values in a seeded order."""
+    rng = np.random.default_rng(seed)
+    cx = build_complex(grid_triangles(3))
+    maps = []
+    for _ in range(count):
+        values = rng.permutation(len(cx.vertices))
+        maps.append(VertexValuedMap(cx, {v: float(values[i]) for i, v in enumerate(cx.vertices)}))
+    return maps
+
+
+def test_analyze_reads_sublevel_bars_off_the_cone():
+    rng = np.random.default_rng(47)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(40)]
+    maps += seeded_grids(6, 48) + [hollow_tetrahedron()]
+    for f in maps:
+        expected = report._sublevel_rows(sublevel_barcode(f, critical_values(f)))
+        for m in (None, 0, 1):
+            assert report.analyze(f, max_degree=m).sublevel_bars == expected, (f, m)
+    # sub-level H2 comes from level H2, which the document cuts at max_degree 0
+    top_bar = {"degree": 2, "birth": "3.0", "death": None, "multiplicity": 1}
+    assert top_bar in report.analyze(hollow_tetrahedron(), max_degree=0).sublevel_bars
+
+
+def test_analyze_runs_one_column_reduction(monkeypatch, octahedron):
+    calls = []
+
+    def counting(reduce):
+        def wrapper(matrix):
+            calls.append(matrix.cols)
+            return reduce(matrix)
+        return wrapper
+
+    for module in ("levelpers.level", "levelpers.sublevel"):
+        monkeypatch.setattr(f"{module}.column_reduce", counting(column_reduce))
+    report.analyze(octahedron)
+    assert calls == [2 * len(octahedron.complex.simplices) + 1]
+
+
+def test_bridge_check_passes_below_the_dimension():
+    # the bridge needs level bars one degree above max_degree
+    for f in seeded_grids(4, 49) + [hollow_tetrahedron()]:
+        results = {c.name: c for c in report.run_checks(f, max_degree=0)}
+        assert all(c.passed for c in results.values()), results
+        assert results["bridge_identity"].detail == "sub-level degrees 0..1"
+        full = {c.name: c for c in report.run_checks(f, max_degree=1)}["bridge_identity"]
+        assert full.passed and full.detail == ""
+
+
 # --- the reduction core ----------------------------------------------------------
 
 def test_bit_column_core_matches_dense_wrapper():

@@ -87,8 +87,9 @@ class VertexValuedMap:
         for v in self.complex.vertices:
             if v not in self.values:
                 raise ValueError(f"no value for vertex {v}")
+        known = set(self.complex.vertices)
         for v in self.values:
-            if v not in self.complex.vertices:
+            if v not in known:
                 raise ValueError(f"value given for unknown vertex {v}")
 
     def min_on(self, simplex: Simplex) -> float:
@@ -221,5 +222,6 @@ def telescope(filt: Filtration) -> VertexValuedMap:
         simplices.append(tuple(cid[(last, v)] for v in s))
 
     cx = build_complex(simplices)
-    values = {cid[(i, v)]: filt.times[i] for (i, v) in pairs if cid[(i, v)] in set(cx.vertices)}
+    present = set(cx.vertices)
+    values = {cid[(i, v)]: filt.times[i] for (i, v) in pairs if cid[(i, v)] in present}
     return VertexValuedMap(cx, values)

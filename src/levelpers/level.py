@@ -263,20 +263,29 @@ def _in_range_points(grid: CriticalGrid) -> list[float]:
 
 
 def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, *,
-                             grid: CriticalGrid | None = None) -> RelevantNumbers:
+                             grid: CriticalGrid | None = None,
+                             builder: SlabBuilder | None = None) -> RelevantNumbers:
     """Compute the five number families directly from cell complexes.
 
     For every in-range grid pair the level complexes are included into
     the interlevel complex; ranks, kernels and image overlaps of the
     induced maps fill the tables.  Degrees where both levels have no
     homology are skipped without building the band.
+
+    builder (default: a new one) must be a SlabBuilder of f; passing
+    the same builder to several calls on one map, as run_checks does,
+    builds each level and band complex and its homology once.  Every
+    number is still computed from the complexes.
     """
+    if builder is None:
+        builder = SlabBuilder(f)
+    elif builder.f is not f:
+        raise ValueError("builder was made for another map")
     if grid is None:
         grid = critical_values(f)
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
     pts = _in_range_points(grid)
-    builder = SlabBuilder(f)
     levels = {x: builder.level(x) for x in pts}
     presentations = {(x, r): homology_of(levels[x], r) for x in pts for r in range(top + 1)}
 

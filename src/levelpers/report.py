@@ -69,8 +69,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _parse_value(raw, where: str) -> float:
-    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
-             f"{where}: expected a number, got {raw!r}")
+    if not (isinstance(raw, (int, float)) and not isinstance(raw, bool)):
+        raise InputError(f"{where}: expected a number, got {raw!r}")
     try:
         return float(raw)
     except OverflowError:
@@ -81,14 +81,16 @@ def _parse_simplex_list(raw, known_ids, where: str):
     _require(isinstance(raw, list), f"{where}: expected a list of simplices")
     out = []
     for k, simplex in enumerate(raw):
-        _require(isinstance(simplex, list) and simplex,
-                 f"{where}[{k}]: expected a non-empty list of vertex ids")
+        if not (isinstance(simplex, list) and simplex):
+            raise InputError(f"{where}[{k}]: expected a non-empty list of vertex ids")
         seen = set()
         for v in simplex:
-            _require(isinstance(v, int) and not isinstance(v, bool),
-                     f"{where}[{k}]: vertex ids must be integers")
-            _require(v in known_ids, f"{where}[{k}]: unknown vertex id {v}")
-            _require(v not in seen, f"{where}[{k}]: duplicate vertex id {v}")
+            if not (isinstance(v, int) and not isinstance(v, bool)):
+                raise InputError(f"{where}[{k}]: vertex ids must be integers")
+            if v not in known_ids:
+                raise InputError(f"{where}[{k}]: unknown vertex id {v}")
+            if v in seen:
+                raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
             seen.add(v)
         out.append(tuple(simplex))
     return out
@@ -117,7 +119,8 @@ def parse_input(text: str):
         times = [_parse_value(t, f"filtration.times[{i}]") for i, t in enumerate(times)]
         stages = []
         for i, stage in enumerate(stages_raw):
-            _require(isinstance(stage, list), f"filtration.stages[{i}]: expected a list")
+            if not isinstance(stage, list):
+                raise InputError(f"filtration.stages[{i}]: expected a list")
             try:
                 stages.append(build_complex(stage))
             except (ValueError, TypeError) as exc:
@@ -133,12 +136,13 @@ def parse_input(text: str):
     _require(isinstance(verts_raw, list), "vertices: expected a list")
     values: dict[int, float] = {}
     for k, entry in enumerate(verts_raw):
-        _require(isinstance(entry, dict) and "id" in entry and "value" in entry,
-                 f"vertices[{k}]: expected an object with 'id' and 'value'")
+        if not (isinstance(entry, dict) and "id" in entry and "value" in entry):
+            raise InputError(f"vertices[{k}]: expected an object with 'id' and 'value'")
         vid = entry["id"]
-        _require(isinstance(vid, int) and not isinstance(vid, bool),
-                 f"vertices[{k}].id: expected an integer")
-        _require(vid not in values, f"vertices[{k}]: duplicate id {vid}")
+        if not (isinstance(vid, int) and not isinstance(vid, bool)):
+            raise InputError(f"vertices[{k}].id: expected an integer")
+        if vid in values:
+            raise InputError(f"vertices[{k}]: duplicate id {vid}")
         values[vid] = _parse_value(entry["value"], f"vertices[{k}].value")
     simplices = _parse_simplex_list(data["maximal_simplices"], set(values), "maximal_simplices")
     simplices.extend((v,) for v in values)
@@ -295,7 +299,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
                         raise AssertionError(f"refining [{a}, {b}] changed an induced rank at level {t}")
         return f"{len(sampled)} spans"
 
-    nums = compute_relevant_numbers(f, top, grid=grid)
+    nums = compute_relevant_numbers(f, top, grid=grid, builder=builder)
     bc = barcode_from_overlaps(nums)
 
     def conversion_agreement():
@@ -316,7 +320,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     def bridge_identity():
         # sub-level degree d needs the level bars of degrees d - 1 and d
         m = min(top + 1, f.complex.dim)
-        level = bc if top >= m else barcode_from_overlaps(compute_relevant_numbers(f, m, grid=grid))
+        level = bc if top >= m else barcode_from_overlaps(
+            compute_relevant_numbers(f, m, grid=grid, builder=builder))
         derived = sublevel_from_level(level, m - 1)
         reference = SublevelBarcode(grid, {key: mult for key, mult in sb.bars.items() if key[0] <= m})
         if derived != reference:
@@ -343,7 +348,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         k = int(rng.integers(0, len(grid.criticals) - 1))
         extra = grid.regular_above(k)
         wide = critical_values(f, extra_criticals=(extra,))
-        nums2 = compute_relevant_numbers(f, top, grid=wide)
+        nums2 = compute_relevant_numbers(f, top, grid=wide, builder=builder)
         bc2 = barcode_from_overlaps(nums2)
         if bc2.counts != bc.counts:
             raise AssertionError(f"adding redundant critical {extra} changed the barcode")

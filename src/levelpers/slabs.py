@@ -16,12 +16,20 @@ whose values reach both sides; no vertex value lies strictly inside a
 gap by construction.  Boundaries are assembled as deduplicated sets of
 canonical cells, then filtered to codimension one; every constructed
 complex asserts that the boundary squares to zero.
+
+A SlabBuilder memoizes the slice and slab cells of each value and gap
+and the level and plain interlevel complexes it has built, and each
+complex caches its homology presentations, so one builder shared by all
+the computations on one map builds, validates and reduces each complex
+once.  A Cell is a named tuple, so hashing it runs in C; as a tuple it
+also equals the plain (carrier, lo, hi) tuple with the same fields.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import Simplex, VertexValuedMap, facets
 from .gf2 import BitMatrix, HomologyPresentation, homology_presentation
@@ -40,9 +48,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A carrier simplex restricted to a slice value or a value band."""
+class Cell(NamedTuple):
+    """A carrier simplex restricted to a slice value or a value band.
+
+    Immutable; equal to, and hashed as, the tuple (carrier, lo, hi).
+    """
 
     carrier: Simplex
     lo: float

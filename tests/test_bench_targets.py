@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and the
+band route still gives the benchmark's reference `check` output.
 
 bench/tracing.py wraps named functions in the levelpers modules from
 outside; a target that moves or is renamed is reported as absent, and
@@ -20,3 +21,15 @@ def test_every_wrap_target_is_present(monkeypatch):
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_check_small_ladder_reports_no_problem(monkeypatch, tmp_path):
+    # every `check` job of the seed-0 ladder, checked against bench/reference_digests.json
+    monkeypatch.syspath_prepend(str(BENCH))
+    import worker
+
+    runner = worker.Runner("check-small", worker.checks.DEFAULT_SEED, tmp_path)
+    assert runner.expected and all(runner.expected)
+    for i, job in enumerate(runner.jobs):
+        _, problems = runner.run(i)
+        assert problems == [], job.name

@@ -11,6 +11,7 @@ import pytest
 import levelpers.report as report
 from levelpers import (
     BitMatrix,
+    CellComplex,
     Filtration,
     LevelBar,
     LevelBarcode,
@@ -277,6 +278,62 @@ def test_bridge_check_passes_below_the_dimension():
         assert results["bridge_identity"].detail == "sub-level degrees 0..1"
         full = {c.name: c for c in report.run_checks(f, max_degree=1)}["bridge_identity"]
         assert full.passed and full.detail == ""
+
+
+# --- one builder per check ----------------------------------------------------------
+
+def count_constructions(monkeypatch):
+    """Record every SlabBuilder and the slice values of every CellComplex built."""
+    builders = []
+    complexes = []
+    builder_init = SlabBuilder.__init__
+    complex_init = CellComplex.__init__
+
+    def counting_builder(self, f):
+        builders.append(f)
+        builder_init(self, f)
+
+    def counting_complex(self, dims, boundary, slice_values):
+        complexes.append(tuple(slice_values))
+        complex_init(self, dims, boundary, slice_values)
+
+    monkeypatch.setattr(SlabBuilder, "__init__", counting_builder)
+    monkeypatch.setattr(CellComplex, "__init__", counting_complex)
+    return builders, complexes
+
+
+@pytest.mark.parametrize("max_degree", [None, 0])
+def test_run_checks_builds_each_complex_once(monkeypatch, max_degree):
+    # max_degree 0 on a 2-dimensional grid also runs the bridge's own band-route call
+    maps = seeded_grids(2, 50) + [FIXTURE_MAKERS["octahedron"]()]
+    builders, complexes = count_constructions(monkeypatch)
+    for f in maps:
+        builders.clear()
+        complexes.clear()
+        results = report.run_checks(f, max_degree=max_degree)
+        assert all(c.passed for c in results), results
+        assert len(builders) == 1
+        assert complexes and len(set(complexes)) == len(complexes)
+
+
+def test_shared_builder_gives_the_same_numbers(monkeypatch):
+    rng = np.random.default_rng(51)
+    for f in [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(10)]:
+        builder = SlabBuilder(f)
+        first = compute_relevant_numbers(f, builder=builder)
+        assert first == compute_relevant_numbers(f)
+        _, complexes = count_constructions(monkeypatch)
+        assert compute_relevant_numbers(f, builder=builder) == first
+        assert complexes == []
+        monkeypatch.undo()
+
+
+def test_builder_of_another_map_is_refused(square_circle, v_map):
+    with pytest.raises(ValueError, match="another map"):
+        compute_relevant_numbers(square_circle, builder=SlabBuilder(v_map))
+    twin = VertexValuedMap(square_circle.complex, dict(square_circle.values))
+    with pytest.raises(ValueError, match="another map"):
+        compute_relevant_numbers(square_circle, builder=SlabBuilder(twin))
 
 
 # --- the reduction core ----------------------------------------------------------

@@ -183,3 +183,19 @@ def test_refinement_independence():
                     m = induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r))
                     ranks.append(rank(m))
                 assert ranks[0] == ranks[1]
+
+
+def test_cell_interface():
+    cell = Cell((0, 2), 0.5, 1.5)
+    assert (cell.carrier, cell.lo, cell.hi) == ((0, 2), 0.5, 1.5)
+    assert not cell.is_slice and Cell((1,), 1.0, 1.0).is_slice
+    assert repr(cell) == "Cell(0,2@[0.5,1.5])"
+    assert repr(Cell((1,), 1.0, 1.0)) == "Cell(1@1.0)"
+    twin = Cell((0, 2), 0.5, 1.5)
+    assert twin == cell and hash(twin) == hash(cell) and len({cell, twin}) == 1
+    assert cell != Cell((0, 2), 0.5, 2.5)
+    # a Cell is a named tuple, so it also equals the plain tuple of its fields
+    assert cell == ((0, 2), 0.5, 1.5)
+    for name in ("carrier", "lo", "hi"):
+        with pytest.raises(AttributeError):
+            setattr(cell, name, None)

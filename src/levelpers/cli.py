@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .report import (
     InputError,
     ResultDocument,
     analyze,
+    json_text,
     numbers_to_csv,
     parse_input,
     render_svg,
@@ -103,21 +103,21 @@ def main(argv=None) -> int:
         elif args.command == "sublevel":
             subset = _bars_subset(doc, "sublevel")
             if args.format == "json":
-                _emit(json.dumps({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars},
-                                 indent=2), args.output)
+                _emit(json_text({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars}),
+                      args.output)
             else:
                 _emit(result_to_csv(subset), args.output)
         elif args.command == "level":
             subset = _bars_subset(doc, "level")
             if args.format == "json":
-                _emit(json.dumps({"criticals": doc.criticals, "level_bars": doc.level_bars},
-                                 indent=2), args.output)
+                _emit(json_text({"criticals": doc.criticals, "level_bars": doc.level_bars}),
+                      args.output)
             else:
                 _emit(result_to_csv(subset), args.output)
         elif args.command == "numbers":
             if args.format == "json":
-                _emit(json.dumps({"criticals": doc.criticals, "numbers": doc.numbers},
-                                 indent=2), args.output)
+                _emit(json_text({"criticals": doc.criticals, "numbers": doc.numbers}),
+                      args.output)
             else:
                 _emit(numbers_to_csv(doc), args.output)
         elif args.command == "svg":

@@ -180,6 +180,8 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     """Dimension of the intersection: dim a + dim b - rank([a | b])."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
+    if not (a.dim and b.dim):
+        return 0
     return a.dim + b.dim - len(_eliminate(a.basis.columns + b.basis.columns)[0])
 
 

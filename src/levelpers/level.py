@@ -21,8 +21,14 @@ These determine, and are determined by, the counts of the four kinds of
 level bars (closed/open at each end); both conversion directions are
 implemented, together with the export of level bars to sub-level bars.
 Each number counts bars: a bar adds its multiplicity to every entry
-whose condition it meets, so numbers_from_barcode fills the tables in
-one pass over the bars, and RelevantNumbers keeps only nonzero entries.
+whose condition it meets, so each table is a count of bars whose ends
+lie in a range, the rank function read as a count of diagram points
+(Cohen-Steiner, Edelsbrunner and Harer 2007).  RelevantNumbers stores
+the tables as dense arrays per degree over the in-range grid indices
+(2k for the k-th critical value, 2k + 1 for the regular value above
+it); numbers_from_barcode fills them with running sums of bar-end
+counts, and both conversions and the document rows read them by index.
+Only kernel_overlap, filled from the bars open at both ends, is sparse.
 compute_relevant_numbers computes the numbers directly, band by band,
 from level and interlevel cell complexes; it is independent of the cone
 reduction and serves as its oracle in the checks and tests.
@@ -34,6 +40,8 @@ import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from .complexes import CriticalGrid, VertexValuedMap, critical_values
 from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis, Subspace
@@ -88,12 +96,13 @@ class LevelBarcode:
     def __init__(self, grid: CriticalGrid, counts) -> None:
         self.grid = grid
         cleaned: dict[LevelBar, int] = {}
+        criticals = set(grid.criticals)
         for bar, mult in dict(counts).items():
             if mult < 0:
                 raise ValueError(f"negative multiplicity for bar {bar}")
             if mult == 0:
                 continue
-            if bar.left not in grid.criticals or bar.right not in grid.criticals:
+            if bar.left not in criticals or bar.right not in criticals:
                 raise ValueError(f"bar {bar} has a non-critical endpoint")
             cleaned[bar] = int(mult)
         self.counts = cleaned
@@ -196,41 +205,129 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
 
 
 class RelevantNumbers:
-    """The five number families over a critical grid, as sparse tables.
+    """The five number families over a critical grid, as rank arrays.
 
-    Only nonzero entries are stored.  Both constructions fill entries at
-    in-range grid points only, with u >= t in up and kernel-overlap keys
-    and d <= t in down and kernel-overlap keys, so a sentinel, a degree
-    out of range or a reversed argument reads 0 without a check.
+    The in-range grid points are indexed 0..2P-2 for P critical values:
+    index 2k is the k-th critical value and 2k + 1 the regular value
+    above it, so the two sentinels sit just outside the arrays.  Per
+    degree r:
+
+    * _level[r][i] is level_rank at index i;
+    * _overlap[r][i][j - i] is image_overlap(i, j), for j >= i;
+    * _up[r][i][u - i] is up_kernel(i, u), for u >= i;
+    * _down[r][i][d] is down_kernel(i, d), for d <= i;
+    * _both[r] maps i to {(u, d): count}, the nonzero kernel_overlap
+      entries with u >= i >= d (the only sparse family).
+
+    The constructor takes one dict per family keyed like the accessors,
+    (r, t), (r, t, u), (r, t, d) and (r, t, u, d); zero entries are
+    dropped, and a nonzero one outside the arrays is an error.  A
+    sentinel, a degree out of range or a reversed argument reads 0.
     Arguments must be grid values: an in-range value between two grid
     points also reads 0 (on the square circle level_rank(0, 0.3) is 0,
     though the level at 0.3 has rank 2, as at the grid value 0.5).
     """
 
+    # per family, in constructor order: the argument positions whose grid
+    # indices must not decrease (u >= t, d <= t)
+    _ORDER = {"level_rank": (0,), "image_overlap": (0, 1), "up_kernel": (0, 1),
+              "down_kernel": (1, 0), "kernel_overlap": (2, 0, 1)}
+
     def __init__(self, grid: CriticalGrid, max_degree: int,
                  level: dict, overlap: dict, up: dict, down: dict, both: dict) -> None:
+        self._place(grid, max_degree)
+        n = len(self._points)
+        degrees = range(max_degree + 1)
+        self._level = [[0] * n for _ in degrees]
+        self._overlap = [[[0] * (n - i) for i in range(n)] for _ in degrees]
+        self._up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
+        self._down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
+        self._both = [{} for _ in degrees]
+        for (name, order), table in zip(self._ORDER.items(), (level, overlap, up, down, both)):
+            for key, m in table.items():
+                if not m:
+                    continue
+                r, at = key[0], [self._index.get(x) for x in key[1:]]
+                if not 0 <= r <= max_degree or None in at or any(at[a] > at[b] for a, b in zip(order, order[1:])):
+                    raise ValueError(f"{name} entry {key} lies outside the in-range grid of degrees 0..{max_degree}")
+                i = at[0]
+                if name == "level_rank":
+                    self._level[r][i] = m
+                elif name == "down_kernel":
+                    self._down[r][i][at[1]] = m
+                elif name == "kernel_overlap":
+                    self._both[r].setdefault(i, {})[(at[1], at[2])] = m
+                else:
+                    (self._overlap if name == "image_overlap" else self._up)[r][i][at[1] - i] = m
+
+    def _place(self, grid: CriticalGrid, max_degree: int) -> None:
         self.grid = grid
         self.max_degree = max_degree
-        self._level = {k: m for k, m in level.items() if m}
-        self._overlap = {k: m for k, m in overlap.items() if m}
-        self._up = {k: m for k, m in up.items() if m}
-        self._down = {k: m for k, m in down.items() if m}
-        self._both = {k: m for k, m in both.items() if m}
+        self._points = _in_range_points(grid)
+        self._index = {x: i for i, x in enumerate(self._points)}
+
+    @classmethod
+    def _from_arrays(cls, grid: CriticalGrid, max_degree: int, level, overlap, up, down, both) -> "RelevantNumbers":
+        nums = cls.__new__(cls)
+        nums._place(grid, max_degree)
+        nums._level, nums._overlap, nums._up, nums._down, nums._both = level, overlap, up, down, both
+        return nums
 
     def level_rank(self, r: int, t: float) -> int:
-        return self._level.get((r, t), 0)
+        i = self._index.get(t)
+        return self._level[r][i] if i is not None and 0 <= r <= self.max_degree else 0
 
     def image_overlap(self, r: int, t: float, u: float) -> int:
-        return self._overlap.get((r, t, u), 0)
+        i, j = self._index.get(t), self._index.get(u)
+        if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
+            return 0
+        return self._overlap[r][i][j - i]
 
     def up_kernel(self, r: int, t: float, u: float) -> int:
-        return self._up.get((r, t, u), 0)
+        i, j = self._index.get(t), self._index.get(u)
+        if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
+            return 0
+        return self._up[r][i][j - i]
 
     def down_kernel(self, r: int, t: float, d: float) -> int:
-        return self._down.get((r, t, d), 0)
+        i, j = self._index.get(t), self._index.get(d)
+        if i is None or j is None or j > i or not 0 <= r <= self.max_degree:
+            return 0
+        return self._down[r][i][j]
 
     def kernel_overlap(self, r: int, t: float, u: float, d: float) -> int:
-        return self._both.get((r, t, u, d), 0)
+        if not 0 <= r <= self.max_degree:
+            return 0
+        index = self._index
+        return self._both[r].get(index.get(t), {}).get((index.get(u), index.get(d)), 0)
+
+    def _scan(self, name: str, step: int) -> list[tuple]:
+        """(r, ..., count) of the nonzero entries of one family whose
+        arguments all sit at multiples of step, each index divided by
+        step, in sorted order."""
+        out = []
+        if name == "level_rank":
+            for r, row in enumerate(self._level):
+                out += [(r, i, m) for i, m in enumerate(row[::step]) if m]
+        elif name in ("image_overlap", "up_kernel"):
+            for r, rows in enumerate(self._overlap if name == "image_overlap" else self._up):
+                for i, row in enumerate(rows[::step]):
+                    if any(row):
+                        out += [(r, i, j, m) for j, m in enumerate(row[::step], i) if m]
+        elif name == "down_kernel":
+            for r, rows in enumerate(self._down):
+                for i, row in enumerate(rows[::step]):
+                    if any(row):
+                        out += [(r, i, d, m) for d, m in enumerate(row[::step]) if m]
+        elif name == "kernel_overlap":
+            for r, by_point in enumerate(self._both):
+                for i in sorted(by_point):
+                    if i % step == 0:
+                        out += [(r, i // step, u // step, d // step, m) for (u, d), m in sorted(by_point[i].items())
+                                if u % step == d % step == 0]
+        else:
+            raise KeyError(name)
+        return out
 
     def entries(self, name: str) -> list[tuple[tuple, int]]:
         """Sorted (key, count) pairs of the nonzero entries of one family.
@@ -238,9 +335,14 @@ class RelevantNumbers:
         name is the accessor's name; keys are its arguments as a tuple,
         (r, t), (r, t, u), (r, t, d) or (r, t, u, d).
         """
-        table = {"level_rank": self._level, "image_overlap": self._overlap, "up_kernel": self._up,
-                 "down_kernel": self._down, "kernel_overlap": self._both}[name]
-        return sorted(table.items())
+        pts = self._points
+        return [((e[0], *map(pts.__getitem__, e[1:-1])), e[-1]) for e in self._scan(name, 1)]
+
+    def critical_entries(self, name: str) -> list[tuple]:
+        """The nonzero entries of one family whose arguments are all
+        critical values, as (r, k, ..., count) tuples in the order of
+        entries(name): an argument k stands for grid.criticals[k]."""
+        return self._scan(name, 2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelevantNumbers):
@@ -255,7 +357,8 @@ class RelevantNumbers:
                 and self._both == other._both)
 
     def __repr__(self) -> str:
-        return f"RelevantNumbers(degrees 0..{self.max_degree}, {len(self._overlap)} pairs)"
+        pairs = sum(len(row) - row.count(0) for rows in self._overlap for row in rows)
+        return f"RelevantNumbers(degrees 0..{self.max_degree}, {pairs} pairs)"
 
 
 def _in_range_points(grid: CriticalGrid) -> list[float]:
@@ -349,36 +452,73 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
                          max_degree: int | None = None) -> RelevantNumbers:
     """Derive all five number families from a level barcode by counting.
 
-    Each bar adds its multiplicity to level_rank at every in-range grid
-    point t it contains and to image_overlap at every pair t <= u of
-    them.  An open right end reaches every point u at or above it: the
-    bar adds to up_kernel(t, u).  An open left end reaches every d at or
-    below it: down_kernel(t, d).  A bar open at both ends adds to
-    kernel_overlap(t, u, d).  The cost is the bars plus the entries.
+    Per degree, a bar is the range [first, end) of in-range grid indices
+    it contains plus its open ends.  image_overlap(i, j) counts the bars
+    with first <= i and last >= j: row i is a running sum, from the top,
+    of the bars begun by i per last index, and level_rank is its
+    diagonal.  up_kernel(i, u) counts the bars containing i whose open
+    right end lies at or below u: a running sum over the open right ends
+    of the bars begun by i.  down_kernel mirrors it, from the top down.
+    A bar open at both ends adds to kernel_overlap(t, u, d) for every t
+    it contains, u at or above its right end and d at or below its left
+    end.  For n in-range grid points the cost is O(n^2) per degree, the
+    size of the tables, plus the kernel_overlap entries.
     """
     top = bc.max_degree() if max_degree is None else max_degree
     top = max(top, 0)
     pts = _in_range_points(grid)
-    level, overlap, up, down, both = Counter(), Counter(), Counter(), Counter(), Counter()
+    n = len(pts)
+    spans: list[list] = [[] for _ in range(top + 1)]
     for b, m in bc.counts.items():
-        r = b.degree
-        if not 0 <= r <= top:
-            continue
-        inside = pts[bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left):
-                     bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)]
-        reach_up = [] if b.right_closed else pts[bisect_left(pts, b.right):]
-        reach_down = [] if b.left_closed else pts[:bisect_right(pts, b.left)]
-        for i, t in enumerate(inside):
-            level[(r, t)] += m
-            for u in inside[i:]:
-                overlap[(r, t, u)] += m
-            for d in reach_down:
-                down[(r, t, d)] += m
-            for u in reach_up:
-                up[(r, t, u)] += m
-                for d in reach_down:
-                    both[(r, t, u, d)] += m
-    return RelevantNumbers(grid, top, level, overlap, up, down, both)
+        if 0 <= b.degree <= top:
+            first = bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left)
+            end = bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)
+            if first < end:
+                spans[b.degree].append((first, end, m, b.left_closed, b.right_closed))
+    level, overlap, up, down, both = [], [], [], [], []
+    for bars in spans:
+        begun = [[] for _ in range(n)]  # first index -> (end, m, right closed)
+        ended = [[] for _ in range(n)]  # last index -> (first, m) of the left-open bars
+        for first, end, m, lc, rc in bars:
+            begun[first].append((end, m, rc))
+            if not lc:
+                ended[end - 1].append((first, m))
+        by_last, right_open = [0] * n, [0] * (n + 1)
+        ov_rows, up_rows, row = [], [], [0] * (n + 1)
+        for i in range(n):
+            for end, m, rc in begun[i]:
+                by_last[end - 1] += m
+                if not rc:
+                    right_open[end] += m
+            if begun[i]:  # row[j - i]: bars begun by i whose last index is >= j
+                row = list(accumulate(reversed(by_last[i:])))
+                row.reverse()
+            else:  # the same counts as at i - 1, from j = i on
+                row = row[1:]
+            ov_rows.append(row)
+            up_rows.append(list(accumulate(right_open[i + 1:n], initial=0)))
+        left_open, down_rows = [0] * n, [None] * n
+        for i in range(n - 1, -1, -1):
+            for first, m in ended[i]:
+                if first:
+                    left_open[first - 1] += m
+            row = list(accumulate(reversed(left_open[:i]), initial=0))
+            row.reverse()
+            down_rows[i] = row
+        cube: dict[int, dict] = {}
+        for first, end, m, lc, rc in bars:
+            if not (lc or rc):
+                for t in range(first, end):
+                    slot = cube.setdefault(t, {})
+                    for u in range(end, n):
+                        for d in range(first):
+                            slot[(u, d)] = slot.get((u, d), 0) + m
+        level.append([row[0] for row in ov_rows])
+        overlap.append(ov_rows)
+        up.append(up_rows)
+        down.append(down_rows)
+        both.append({t: slot for t, slot in cube.items() if slot})
+    return RelevantNumbers._from_arrays(grid, top, level, overlap, up, down, both)
 
 
 def _require_nonneg(value: int, what: str, *args) -> int:
@@ -392,6 +532,24 @@ def _require_nonneg(value: int, what: str, *args) -> int:
 _KINDS = ((True, True), (False, False), (False, True), (True, False))
 
 
+def _add_bars(counts: dict, r: int, T, k: int, rows) -> None:
+    """Add the nonzero counts of bars from T[k], one row per kind in _KINDS
+    order: the closed-closed row starts at T[k], the others at T[k + 1]."""
+    for (lc, rc), row in zip(_KINDS, rows):
+        if any(row):
+            for j, m in enumerate(row, k if lc and rc else k + 1):
+                if m:
+                    counts[LevelBar(r, T[k], T[j], lc, rc)] = m
+
+
+def _differences(inner: list, outer: list) -> list:
+    """e[o] = inner[o] - inner[o + 1] - outer[o] + outer[o + 1], with both
+    rows reading 0 past their ends."""
+    d = list(map(sub, inner, outer))
+    d.append(0)
+    return list(map(sub, d, d[1:]))
+
+
 def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     """Level bar counts from the image-overlap table alone.
 
@@ -402,23 +560,32 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     count of a bar with inside points x, y and outside points x', y' is
     ov(x, y) - ov(x', y) - ov(x, y') + ov(x', y'), one rule for all four
     kinds; a singleton is closed at both ends, and a sentinel reads 0.
+    With T[k] at index 2k, a left end fixes the rows x and x' of the
+    table, and one difference of the two rows along y gives the counts
+    of every right end: closed at T[j] at offset 2j, open at 2j - 1.
     """
-    grid = nums.grid
-    T = grid.criticals
+    T = nums.grid.criticals
+    P = len(T)
     counts: dict[LevelBar, int] = {}
     for r in range(nums.max_degree + 1):
-        ov = lambda x, y: nums.image_overlap(r, x, y)
-        for k, tk in enumerate(T):
-            for j in range(k, len(T)):
-                tj = T[j]
-                for lc, rc in _KINDS if j > k else _KINDS[:1]:
-                    x, x_out = (tk, grid.regular_below(k)) if lc else (grid.regular_above(k), tk)
-                    y, y_out = (tj, grid.regular_above(j)) if rc else (grid.regular_below(j), tj)
-                    m = ov(x, y) - ov(x_out, y) - ov(x, y_out) + ov(x_out, y_out)
-                    if m:
-                        bar = LevelBar(r, tk, tj, lc, rc)
-                        counts[bar] = _require_nonneg(m, "count of %s", bar)
-    return LevelBarcode(grid, counts)
+        ov = nums._overlap[r]
+        if not any(map(any, ov)):  # every count of the degree is 0
+            continue
+        for k in range(P):
+            # left end closed: x = 2k, x' = 2k - 1 (the sentinel below T[0] reads 0)
+            closed = _differences(ov[2 * k], ov[2 * k - 1][1:] if k else [0] * len(ov[0]))
+            rows = [closed[0::2], [], [], closed[1::2]]
+            if k + 1 < P:  # left end open: x = 2k + 1, x' = 2k
+                opened = _differences(ov[2 * k + 1], ov[2 * k][1:])
+                rows[1:3] = opened[0::2], opened[1::2]
+            if min(rows[0] + rows[1] + rows[2] + rows[3]) < 0:
+                for j in range(k, P):
+                    for (lc, rc), row in zip(_KINDS, rows):
+                        o = j - k if lc and rc else j - k - 1
+                        if o >= 0:
+                            _require_nonneg(row[o], "count of %s", LevelBar(r, T[k], T[j], lc, rc))
+            _add_bars(counts, r, T, k, rows)
+    return LevelBarcode(nums.grid, counts)
 
 
 def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
@@ -428,75 +595,76 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
     regular value just above the left endpoint.  The other three kinds
     are recovered through the auxiliary counts of bars meeting one level
     with a prescribed end at another, with out-of-range indices
-    contributing zero.
+    contributing zero.  The tables are read by grid index (T[k] at 2k),
+    one row per left end, and every count is checked in the order of a
+    scalar pass: open-open by (k, j); open-closed by k, then j
+    downwards; closed-open by j, then k; closed-closed by k, then j
+    downwards.
     """
-    grid = nums.grid
-    T = grid.criticals
-    n = len(T)
+    T = nums.grid.criticals
+    P = len(T)
     counts: dict[LevelBar, int] = {}
+    zero = [0] * (P + 1)
     for r in range(nums.max_degree + 1):
-        oo: dict[tuple[int, int], int] = {}
-        for k in range(n):
-            probe = grid.regular_above(k)
-            for j in range(k + 1, n):
-                e = lambda upper, lower: nums.kernel_overlap(r, probe, upper, lower)
-                oo[(k, j)] = _require_nonneg(
-                    e(T[j], T[k]) - e(T[j], T[k + 1]) - e(T[j - 1], T[k]) + e(T[j - 1], T[k + 1]),
-                    "open-open count at (%s, %s) in degree %s", T[k], T[j], r)
+        ov, up, down, both = nums._overlap[r], nums._up[r], nums._down[r], nums._both[r]
+        if not (both or any(map(any, ov)) or any(map(any, up)) or any(map(any, down))):
+            continue  # every count of the degree is 0
+        # open-open, oo[k][j] over j = 0..P; oo[-1] is the zero row P
+        oo = [zero] * (P + 1)
+        for k in range(P):
+            probe = both.get(2 * k + 1)
+            if probe:
+                # kernel_overlap(probe, T[j], T[k]) - kernel_overlap(probe, T[j], T[k + 1]) for j >= k
+                upper = [probe.get((2 * j, 2 * k), 0) - probe.get((2 * j, 2 * k + 2), 0) for j in range(k, P)]
+                row = [0] * (k + 1)
+                row += map(sub, upper[1:], upper)
+                row.append(0)
+                if min(row) < 0:
+                    for j in range(k + 1, P):
+                        _require_nonneg(row[j], "open-open count at (%s, %s) in degree %s", T[k], T[j], r)
+                oo[k] = row
 
-        def span_count(i: int, j: int) -> int:
-            if i < 0 or j >= n or i > j:
-                return 0
-            return nums.image_overlap(r, T[i], T[j])
+        # bars meeting the level at T[j] with an open left end at T[k] (k < j), then open-closed
+        left_open, open_closed = [zero] * P, [zero] * P
+        for k in range(P - 1):
+            lo = [0] * (k + 1)
+            lo += [down[2 * j][2 * k] - down[2 * j][2 * k + 2] for j in range(k + 1, P)]
+            lo.append(0)
+            oc = [0] * (k + 1)
+            oc += [a - b - c for a, b, c in zip(lo[k + 1:P], lo[k + 2:], oo[k][k + 2:])]
+            oc.append(0)
+            if min(lo) < 0 or min(oc) < 0:
+                for j in range(P - 1, k, -1):
+                    _require_nonneg(lo[j], "auxiliary left-open count at (%s, %s) in degree %s", T[k], T[j], r)
+                    _require_nonneg(oc[j], "open-closed count at (%s, %s] in degree %s", T[k], T[j], r)
+            left_open[k], open_closed[k] = lo, oc
 
-        def right_open_count(i: int, j: int) -> int:
-            # bars meeting the level at T[i] with an open right end at T[j]
-            if i < 0 or j >= n or i >= j:
-                return 0
-            return _require_nonneg(
-                nums.up_kernel(r, T[i], T[j]) - nums.up_kernel(r, T[i], T[j - 1]),
-                "auxiliary right-open count at (%s, %s) in degree %s", T[i], T[j], r)
+        # bars meeting the level at T[k] with an open right end at T[j] (k < j), then closed-open
+        closed_open = [None] * P  # column j over k = 0..j-1
+        for j in range(P):
+            ro = [0]  # ro[k + 1], so that ro[0] stands for k = -1
+            ro += [up[2 * k][2 * (j - k)] - up[2 * k][2 * (j - k) - 2] for k in range(j)]
+            co = [ro[k + 1] - ro[k] - oo[k - 1][j] for k in range(j)]
+            if min(ro) < 0 or min(co, default=0) < 0:
+                for k in range(j):
+                    _require_nonneg(ro[k + 1], "auxiliary right-open count at (%s, %s) in degree %s", T[k], T[j], r)
+                    _require_nonneg(co[k], "closed-open count at [%s, %s) in degree %s", T[k], T[j], r)
+            closed_open[j] = co
 
-        def left_open_count(i: int, j: int) -> int:
-            # bars meeting the level at T[j] with an open left end at T[i]
-            if i < 0 or j >= n or i >= j:
-                return 0
-            return _require_nonneg(
-                nums.down_kernel(r, T[j], T[i]) - nums.down_kernel(r, T[j], T[i + 1]),
-                "auxiliary left-open count at (%s, %s) in degree %s", T[i], T[j], r)
-
-        def left_closed_count(i: int, j: int) -> int:
-            # bars meeting the level at T[j] with a closed left end at T[i]
-            if i < 0 or j >= n or i > j:
-                return 0
-            return _require_nonneg(
-                span_count(i, j) - span_count(i - 1, j) - left_open_count(i - 1, j),
-                "auxiliary left-closed count at [%s, %s) in degree %s", T[i], T[j], r)
-
-        oc: dict[tuple[int, int], int] = {}
-        for k in range(n):
-            for j in range(n - 1, k, -1):
-                oc[(k, j)] = _require_nonneg(
-                    left_open_count(k, j) - left_open_count(k, j + 1) - oo.get((k, j + 1), 0),
-                    "open-closed count at (%s, %s] in degree %s", T[k], T[j], r)
-        co: dict[tuple[int, int], int] = {}
-        for j in range(n):
-            for k in range(j):
-                co[(k, j)] = _require_nonneg(
-                    right_open_count(k, j) - right_open_count(k - 1, j) - oo.get((k - 1, j), 0),
-                    "closed-open count at [%s, %s) in degree %s", T[k], T[j], r)
-        cc: dict[tuple[int, int], int] = {}
-        for k in range(n):
-            for j in range(n - 1, k - 1, -1):
-                cc[(k, j)] = _require_nonneg(
-                    left_closed_count(k, j) - left_closed_count(k, j + 1) - co.get((k, j + 1), 0),
-                    "closed-closed count at [%s, %s] in degree %s", T[k], T[j], r)
-
-        for (lc, rc), table in zip(_KINDS, (cc, oo, oc, co)):
-            for (k, j), m in table.items():
-                if m:
-                    counts[LevelBar(r, T[k], T[j], lc, rc)] = m
-    return LevelBarcode(grid, counts)
+        # bars meeting the level at T[j] with a closed left end at T[k] (k <= j), then closed-closed
+        for k in range(P):
+            below = ov[2 * k - 2][2::2] if k else zero
+            lo_below = left_open[k - 1][k:] if k else zero
+            lc = [a - b - c for a, b, c in zip(ov[2 * k][0::2], below, lo_below)]
+            lc.append(0)
+            co = [closed_open[j][k] for j in range(k + 1, P)]
+            cc = [lc[o] - lc[o + 1] - c for o, c in enumerate(co + [0])]
+            if min(lc) < 0 or min(cc) < 0:
+                for j in range(P - 1, k - 1, -1):
+                    _require_nonneg(lc[j - k], "auxiliary left-closed count at [%s, %s) in degree %s", T[k], T[j], r)
+                    _require_nonneg(cc[j - k], "closed-closed count at [%s, %s] in degree %s", T[k], T[j], r)
+            _add_bars(counts, r, T, k, (cc, oo[k][k + 1:P], open_closed[k][k + 1:P], co))
+    return LevelBarcode(nums.grid, counts)
 
 
 def sublevel_from_level(bc: LevelBarcode, max_degree: int | None = None) -> SublevelBarcode:

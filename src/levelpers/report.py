@@ -36,6 +36,7 @@ from .sublevel import INF, BettiTable, SublevelBarcode, bars_from_betti, subleve
 __all__ = [
     "InputError",
     "ResultDocument",
+    "json_text",
     "parse_input",
     "input_to_map",
     "analyze",
@@ -157,6 +158,59 @@ def input_to_map(parsed) -> VertexValuedMap:
     return parsed
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# JSON text of a scalar, by exact type; anything else goes through _write_json
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    scalar = _SCALAR_TEXT.get(obj.__class__)
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    inner = pad + "  "
+    if obj.__class__ is dict and obj and all(key.__class__ is str for key in obj):
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            out += (sep, _encode_str(key), ": ")
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif obj.__class__ is list and obj:
+        templates: dict[tuple, str] = {}
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            sep = ",\n" + inner
+            if item.__class__ is dict and item:
+                try:  # a flat row: its scalars fill one template per key sequence
+                    values = tuple([_SCALAR_TEXT[value.__class__](value) for value in item.values()])
+                    keys = tuple(item)
+                    template = templates.get(keys)
+                    if template is None:
+                        template = templates[keys] = "{" + ",".join(
+                            f"\n{inner}  " + _encode_str(key).replace("%", "%%") + ": %s" for key in keys
+                        ) + f"\n{inner}}}"
+                    out.append(template % values)
+                    continue
+                except (KeyError, TypeError):  # a nested value or a key that is not a str
+                    pass
+            _write_json(item, inner, out)
+        out.append("\n" + pad + "]")
+    else:  # empty containers, floats, non-str keys: the standard encoder, indented to this depth
+        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + pad))
+
+
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2), written faster for documents
+    made of dicts, lists and flat rows (dicts of strings, ints, booleans
+    and None): each row is filled into one template per key sequence."""
+    out: list[str] = []
+    _write_json(obj, "", out)
+    return "".join(out)
+
+
 @dataclass
 class ResultDocument:
     """Serializable analysis output; values are decimal strings."""
@@ -169,7 +223,7 @@ class ResultDocument:
     checks: list[dict] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2)  # asdict would deep-copy every row first
+        return json_text(vars(self))  # asdict would deep-copy every row first
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -217,10 +271,19 @@ _NUMBER_ARGS = {"level_rank": ("t",), "image_overlap": ("t", "u"), "up_kernel": 
 
 def _number_rows(nums, grid) -> dict[str, list[dict]]:
     """Nonzero entries of each family whose arguments are all critical values."""
-    critical = set(grid.criticals)
-    return {name: [{"degree": key[0], **{a: fmt_value(x) for a, x in zip(args, key[1:])}, "count": c}
-                   for key, c in nums.entries(name) if critical.issuperset(key[1:])]
-            for name, args in _NUMBER_ARGS.items()}
+    label = [fmt_value(t) for t in grid.criticals]
+    rows = {}
+    for name, args in _NUMBER_ARGS.items():
+        entries = nums.critical_entries(name)
+        if len(args) == 1:
+            rows[name] = [{"degree": r, "t": label[i], "count": c} for r, i, c in entries]
+        elif len(args) == 2:
+            a = args[1]
+            rows[name] = [{"degree": r, "t": label[i], a: label[j], "count": c} for r, i, j, c in entries]
+        else:
+            rows[name] = [{"degree": r, "t": label[i], "u": label[u], "d": label[d], "count": c}
+                          for r, i, u, d, c in entries]
+    return rows
 
 
 @dataclass

@@ -35,6 +35,7 @@ class SublevelBarcode:
     def __init__(self, grid: CriticalGrid, bars) -> None:
         self.grid = grid
         cleaned: dict[tuple[int, float, float], int] = {}
+        criticals = set(grid.criticals)
         for (r, birth, death), mult in dict(bars).items():
             if mult < 0:
                 raise ValueError(f"negative multiplicity for bar [{birth}, {death}) in degree {r}")
@@ -42,7 +43,7 @@ class SublevelBarcode:
                 continue
             if not birth < death:
                 raise ValueError(f"bar [{birth}, {death}) in degree {r} is not a forward interval")
-            if birth not in grid.criticals or (death != INF and death not in grid.criticals):
+            if birth not in criticals or (death != INF and death not in criticals):
                 raise ValueError(f"bar [{birth}, {death}) has a non-critical endpoint")
             cleaned[(int(r), float(birth), float(death))] = int(mult)
         self.bars = cleaned

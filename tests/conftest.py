@@ -4,6 +4,7 @@ import pytest
 from levelpers import (
     BitMatrix,
     Filtration,
+    RelevantNumbers,
     SimplicialComplex,
     VertexValuedMap,
     build_complex,
@@ -109,6 +110,17 @@ def random_vertex_map(rng: np.random.Generator) -> VertexValuedMap:
     else:
         values = {v: float(rng.choice([0.0, 1.0, 2.0, 3.0, 4.0])) for v in cx.vertices}
     return VertexValuedMap(cx, values)
+
+
+NUMBER_FAMILIES = ("level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap")
+
+
+def bumped(nums: RelevantNumbers, name: str, key: tuple, delta: int) -> RelevantNumbers:
+    """The same numbers rebuilt from entries(), with entry key of family
+    name moved by delta."""
+    tables = {family: dict(nums.entries(family)) for family in NUMBER_FAMILIES}
+    tables[name][key] = tables[name].get(key, 0) + delta
+    return RelevantNumbers(nums.grid, nums.max_degree, *(tables[family] for family in NUMBER_FAMILIES))
 
 
 def dense(m: BitMatrix) -> np.ndarray:

@@ -33,7 +33,7 @@ from levelpers import (
 )
 from levelpers.cli import main
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, random_vertex_map
+from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, random_vertex_map
 
 RANDOM_COUNT = 100
 _CACHE: dict = {}
@@ -211,8 +211,7 @@ def test_criterion_6_nonnegativity():
     results = pipelines()
     bad = []
     for name, (f, nums, bc, bc_k, sb, bridged) in results.items():
-        tables = [nums._level, nums._overlap, nums._up, nums._down, nums._both]
-        if any(v < 0 for table in tables for v in table.values()):
+        if any(count < 0 for name in NUMBER_FAMILIES for _, count in nums.entries(name)):
             bad.append(f"{name}: negative relevant number")
         if any(m < 0 for m in bc.counts.values()) or any(m < 0 for m in sb.bars.values()):
             bad.append(f"{name}: negative bar count")

@@ -1,5 +1,6 @@
-"""The benchmark's tracer still finds every function it wraps, and the
-band route still gives the benchmark's reference `check` output.
+"""The benchmark's tracer still finds every function it wraps, the band
+route still gives the benchmark's reference `check` output, and `analyze`
+still gives its reference `level-small` documents and drawings.
 
 bench/tracing.py wraps named functions in the levelpers modules from
 outside; a target that moves or is renamed is reported as absent, and
@@ -29,6 +30,18 @@ def test_check_small_ladder_reports_no_problem(monkeypatch, tmp_path):
     import worker
 
     runner = worker.Runner("check-small", worker.checks.DEFAULT_SEED, tmp_path)
+    assert runner.expected and all(runner.expected)
+    for i, job in enumerate(runner.jobs):
+        _, problems = runner.run(i)
+        assert problems == [], job.name
+
+
+def test_level_small_ladder_reports_no_problem(monkeypatch, tmp_path):
+    # every `analyze --svg` job of the seed-0 ladder, checked against bench/reference_digests.json
+    monkeypatch.syspath_prepend(str(BENCH))
+    import worker
+
+    runner = worker.Runner("level-small", worker.checks.DEFAULT_SEED, tmp_path)
     assert runner.expected and all(runner.expected)
     for i, job in enumerate(runner.jobs):
         _, problems = runner.run(i)

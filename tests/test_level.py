@@ -17,7 +17,7 @@ from levelpers import (
     VertexValuedMap,
 )
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, random_vertex_map
+from conftest import FIXTURE_MAKERS, bumped, random_vertex_map
 
 
 def bars_of(bc):
@@ -262,7 +262,7 @@ def test_unrealizable_numbers_are_rejected():
     f = VertexValuedMap(build_complex([[0, 1]]), {0: 0.0, 1: 1.0})
     nums = compute_relevant_numbers(f)
     # corrupt one overlap so the inclusion-exclusion goes negative
-    nums._overlap[(0, 0.0, 1.0)] += 5
+    nums = bumped(nums, "image_overlap", (0, 0.0, 1.0), 5)
     with pytest.raises(ValueError, match="not realizable"):
         barcode_from_overlaps(nums)
 
@@ -270,7 +270,7 @@ def test_unrealizable_numbers_are_rejected():
 def test_overlap_route_names_the_negative_bar(square_circle):
     # one inflated overlap makes the count of exactly one bar negative
     nums = compute_relevant_numbers(square_circle)
-    nums._overlap[(0, 0.5, 1.5)] += 1
+    nums = bumped(nums, "image_overlap", (0, 0.5, 1.5), 1)
     message = "count of H0 (0.0, 1.0] is negative: input numbers are not realizable by a tame map"
     with pytest.raises(ValueError) as exc:
         barcode_from_overlaps(nums)
@@ -284,9 +284,9 @@ def test_overlap_route_names_the_negative_bar(square_circle):
     ("_down", (0, 2.0, 0.0), 1, "open-closed count at (0.0, 1.0] in degree 0"),
 ])
 def test_kernel_route_messages(square_circle, table, key, delta, message):
-    nums = compute_relevant_numbers(square_circle)
-    entries = getattr(nums, table)
-    entries[key] = entries.get(key, 0) + delta
+    # the case ids keep their short table tags: _both is kernel_overlap, _down is down_kernel
+    name = {"_both": "kernel_overlap", "_down": "down_kernel"}[table]
+    nums = bumped(compute_relevant_numbers(square_circle), name, key, delta)
     with pytest.raises(ValueError) as exc:
         barcode_from_kernels(nums)
     assert str(exc.value) == message + " is negative: input numbers are not realizable by a tame map"
@@ -296,3 +296,15 @@ def test_barcode_rejects_non_critical_endpoint():
     grid = CriticalGrid.from_criticals([0.0, 1.0])
     with pytest.raises(ValueError, match="non-critical"):
         LevelBarcode(grid, {LevelBar(0, 0.5, 1.0, True, True): 1})
+
+
+@pytest.mark.parametrize("bar, text", [
+    (LevelBar(0, 0.5, 1.0, True, True), "H0 [0.5, 1.0]"),       # left end at a regular value
+    (LevelBar(0, 0.0, 0.5, True, False), "H0 [0.0, 0.5)"),      # right end at a regular value
+    (LevelBar(1, 0.0, 3.0, False, False), "H1 (0.0, 3.0)"),     # right end off the grid
+])
+def test_non_critical_endpoint_message(bar, text):
+    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    with pytest.raises(ValueError) as exc:
+        LevelBarcode(grid, {LevelBar(0, 0.0, 1.0, True, True): 1, bar: 2})
+    assert str(exc.value) == f"bar {text} has a non-critical endpoint"

@@ -1,0 +1,305 @@
+"""The rank-array number tables against a per-bar counting reference, the
+conversions against scalar passes over the accessors, and the JSON
+emitter against json.dumps."""
+
+import json
+from bisect import bisect_left, bisect_right
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import levelpers.report as report
+from levelpers import (
+    CriticalGrid,
+    LevelBar,
+    LevelBarcode,
+    RelevantNumbers,
+    VertexValuedMap,
+    build_complex,
+    barcode_from_kernels,
+    barcode_from_overlaps,
+    critical_values,
+    level_barcode,
+    numbers_from_barcode,
+)
+from levelpers.cli import main
+from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, random_vertex_map
+
+
+def counted_entries(bc, grid, top):
+    """Sorted nonzero entries of each family, counted bar by bar: a bar
+    adds its multiplicity at every in-range grid point it contains, at
+    every pair of them, and over the reaches past its open ends."""
+    pts = [x for x in grid.points if grid.in_range(x)]
+    level, overlap, up, down, both = Counter(), Counter(), Counter(), Counter(), Counter()
+    for b, m in bc.counts.items():
+        r = b.degree
+        if not 0 <= r <= top:
+            continue
+        inside = pts[bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left):
+                     bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)]
+        reach_up = [] if b.right_closed else pts[bisect_left(pts, b.right):]
+        reach_down = [] if b.left_closed else pts[:bisect_right(pts, b.left)]
+        for i, t in enumerate(inside):
+            level[(r, t)] += m
+            for u in inside[i:]:
+                overlap[(r, t, u)] += m
+            for d in reach_down:
+                down[(r, t, d)] += m
+            for u in reach_up:
+                up[(r, t, u)] += m
+                for d in reach_down:
+                    both[(r, t, u, d)] += m
+    return {name: sorted((k, c) for k, c in table.items() if c)
+            for name, table in zip(NUMBER_FAMILIES, (level, overlap, up, down, both))}
+
+
+def circle(n, seed):
+    values = np.random.default_rng(seed).permutation(n)
+    return VertexValuedMap(build_complex([[i, (i + 1) % n] for i in range(n)]),
+                           {i: float(values[i]) for i in range(n)})
+
+
+def grid_map(k, seed):
+    tris = []
+    for r in range(k - 1):
+        for c in range(k - 1):
+            a, b, d, e = r * k + c, r * k + c + 1, (r + 1) * k + c, (r + 1) * k + c + 1
+            tris += [[a, b, e], [a, d, e]]
+    cx = build_complex(tris)
+    values = np.random.default_rng(seed).permutation(len(cx.vertices))
+    return VertexValuedMap(cx, {v: float(values[i]) for i, v in enumerate(cx.vertices)})
+
+
+def sample_maps():
+    rng = np.random.default_rng(808)
+    maps = [(name, maker()) for name, maker in FIXTURE_MAKERS.items()]
+    maps += [(f"random {i}", random_vertex_map(rng)) for i in range(60)]
+    return maps + [("circle 20", circle(20, 1)), ("circle 48", circle(48, 2)), ("grid 4x4", grid_map(4, 3))]
+
+
+def test_tables_match_the_per_bar_count():
+    for name, f in sample_maps():
+        grid = critical_values(f)
+        bc = level_barcode(f, grid)
+        for top in (0, f.complex.dim, 3):
+            nums = numbers_from_barcode(bc, grid, top)
+            expected = counted_entries(bc, grid, top)
+            for family in NUMBER_FAMILIES:
+                assert nums.entries(family) == expected[family], (name, top, family)
+            rebuilt = RelevantNumbers(grid, top, *(dict(expected[family]) for family in NUMBER_FAMILIES))
+            assert rebuilt == nums, (name, top)
+
+
+def test_critical_entries_are_the_entries_at_critical_values(square_circle):
+    grid = critical_values(square_circle)
+    nums = numbers_from_barcode(level_barcode(square_circle, grid), grid)
+    T = grid.criticals
+    for family in NUMBER_FAMILIES:
+        expected = [entry for entry in nums.entries(family) if set(entry[0][1:]) <= set(T)]
+        assert expected and [((e[0], *(T[k] for k in e[1:-1])), e[-1]) for e in nums.critical_entries(family)] \
+            == expected
+    with pytest.raises(KeyError):
+        nums.entries("betti")
+
+
+@pytest.mark.parametrize("table, key", [
+    (0, (1, 0.0)),               # degree above max_degree
+    (0, (0, -1.0)),              # the sentinel below
+    (0, (0, 0.25)),              # between grid points
+    (1, (0, 1.0, 0.0)),          # reversed image_overlap
+    (2, (0, 1.0, 0.5)),          # reversed up_kernel
+    (3, (0, 0.0, 1.0)),          # reversed down_kernel
+    (4, (0, 0.5, 0.0, 0.0)),     # kernel_overlap with its upper end below t
+])
+def test_nonzero_entry_outside_the_arrays_is_refused(table, key):
+    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    tables = [{}, {}, {}, {}, {}]
+    tables[table][key] = 1
+    with pytest.raises(ValueError, match="lies outside the in-range grid"):
+        RelevantNumbers(grid, 0, *tables)
+    tables[table][key] = 0
+    assert RelevantNumbers(grid, 0, *tables) == RelevantNumbers(grid, 0, {}, {}, {}, {}, {})
+
+
+# --- conversions against scalar passes over the accessors ----------------------
+
+def _nonneg(value, what, *args):
+    if value < 0:
+        raise ValueError(f"{what % args} is negative: input numbers are not realizable by a tame map")
+    return value
+
+
+KINDS = ((True, True), (False, False), (False, True), (True, False))
+
+
+def scalar_overlap_route(nums):
+    """Bar counts from image_overlap, one accessor call per term."""
+    grid, T = nums.grid, nums.grid.criticals
+    counts = {}
+    for r in range(nums.max_degree + 1):
+        ov = lambda x, y: nums.image_overlap(r, x, y)
+        for k, tk in enumerate(T):
+            for j in range(k, len(T)):
+                for lc, rc in KINDS if j > k else KINDS[:1]:
+                    x, x_out = (tk, grid.regular_below(k)) if lc else (grid.regular_above(k), tk)
+                    y, y_out = (T[j], grid.regular_above(j)) if rc else (grid.regular_below(j), T[j])
+                    m = ov(x, y) - ov(x_out, y) - ov(x, y_out) + ov(x_out, y_out)
+                    if m:
+                        bar = LevelBar(r, tk, T[j], lc, rc)
+                        counts[bar] = _nonneg(m, "count of %s", bar)
+    return LevelBarcode(grid, counts)
+
+
+def scalar_kernel_route(nums):
+    """Bar counts from the kernel tables, one accessor call per term, every
+    auxiliary count checked where it is used."""
+    grid, T = nums.grid, nums.grid.criticals
+    n = len(T)
+    counts = {}
+    for r in range(nums.max_degree + 1):
+        oo = {}
+        for k in range(n):
+            probe = grid.regular_above(k)
+            for j in range(k + 1, n):
+                e = lambda upper, lower: nums.kernel_overlap(r, probe, upper, lower)
+                oo[(k, j)] = _nonneg(e(T[j], T[k]) - e(T[j], T[k + 1]) - e(T[j - 1], T[k]) + e(T[j - 1], T[k + 1]),
+                                     "open-open count at (%s, %s) in degree %s", T[k], T[j], r)
+
+        def span(i, j):
+            return 0 if i < 0 or j >= n or i > j else nums.image_overlap(r, T[i], T[j])
+
+        def right_open(i, j):
+            if i < 0 or j >= n or i >= j:
+                return 0
+            return _nonneg(nums.up_kernel(r, T[i], T[j]) - nums.up_kernel(r, T[i], T[j - 1]),
+                           "auxiliary right-open count at (%s, %s) in degree %s", T[i], T[j], r)
+
+        def left_open(i, j):
+            if i < 0 or j >= n or i >= j:
+                return 0
+            return _nonneg(nums.down_kernel(r, T[j], T[i]) - nums.down_kernel(r, T[j], T[i + 1]),
+                           "auxiliary left-open count at (%s, %s) in degree %s", T[i], T[j], r)
+
+        def left_closed(i, j):
+            if i < 0 or j >= n or i > j:
+                return 0
+            return _nonneg(span(i, j) - span(i - 1, j) - left_open(i - 1, j),
+                           "auxiliary left-closed count at [%s, %s) in degree %s", T[i], T[j], r)
+
+        oc, co, cc = {}, {}, {}
+        for k in range(n):
+            for j in range(n - 1, k, -1):
+                oc[(k, j)] = _nonneg(left_open(k, j) - left_open(k, j + 1) - oo.get((k, j + 1), 0),
+                                     "open-closed count at (%s, %s] in degree %s", T[k], T[j], r)
+        for j in range(n):
+            for k in range(j):
+                co[(k, j)] = _nonneg(right_open(k, j) - right_open(k - 1, j) - oo.get((k - 1, j), 0),
+                                     "closed-open count at [%s, %s) in degree %s", T[k], T[j], r)
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                cc[(k, j)] = _nonneg(left_closed(k, j) - left_closed(k, j + 1) - co.get((k, j + 1), 0),
+                                     "closed-closed count at [%s, %s] in degree %s", T[k], T[j], r)
+        for (lc, rc), table in zip(KINDS, (cc, oo, oc, co)):
+            for (k, j), m in table.items():
+                if m:
+                    counts[LevelBar(r, T[k], T[j], lc, rc)] = m
+    return LevelBarcode(grid, counts)
+
+
+def outcome(route, nums):
+    try:
+        return route(nums)
+    except ValueError as exc:
+        return str(exc)
+
+
+def corrupted(rng, nums):
+    """nums with one to three entries of one family moved, at critical
+    arguments half the time, so that one pass meets several negatives."""
+    pts, P = nums.grid.points[1:-1], len(nums.grid.criticals)
+    name = NUMBER_FAMILIES[int(rng.integers(0, 5))]
+    probe = 2 * int(rng.integers(0, P - 1)) + 1 if P > 1 else 0  # one probe of the kernel route
+    for _ in range(int(rng.integers(1, 4))):
+        r = int(rng.integers(0, nums.max_degree + 1))
+        critical = rng.random() < 0.5
+        at = [int(i) for i in (2 * rng.integers(0, P, size=3) if critical else rng.integers(0, len(pts), size=3))]
+        d, t, u = sorted(at)
+        if critical and name == "kernel_overlap" and P > 1:  # the terms of one open-open row
+            d, t, u = probe - 1, probe, max(u, probe + 1)
+        key = {"level_rank": (r, pts[d]), "image_overlap": (r, pts[d], pts[u]), "up_kernel": (r, pts[d], pts[u]),
+               "down_kernel": (r, pts[u], pts[d]), "kernel_overlap": (r, pts[t], pts[u], pts[d])}[name]
+        nums = bumped(nums, name, key, int(rng.choice([-2, -1, 1, 2])))
+    return nums
+
+
+def test_conversions_match_scalar_passes_on_corrupted_tables():
+    # the first negative count named must be the scalar pass's
+    rng = np.random.default_rng(17)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(12)]
+    maps.append(circle(9, 6))
+    raised = 0
+    for f in maps:
+        grid = critical_values(f)
+        nums = numbers_from_barcode(level_barcode(f, grid), grid)
+        for fast, scalar in ((barcode_from_overlaps, scalar_overlap_route),
+                             (barcode_from_kernels, scalar_kernel_route)):
+            assert outcome(fast, nums) == outcome(scalar, nums)
+            for _ in range(40):
+                bad = corrupted(rng, nums)
+                expected = outcome(scalar, bad)
+                assert outcome(fast, bad) == expected
+                raised += isinstance(expected, str)
+    assert raised > 400
+
+
+# --- the JSON emitter --------------------------------------------------------
+
+def cli_documents(doc):
+    """The documents the CLI writes for analyze, level, sublevel and numbers."""
+    return [vars(doc),
+            {"criticals": doc.criticals, "level_bars": doc.level_bars},
+            {"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars},
+            {"criticals": doc.criticals, "numbers": doc.numbers}]
+
+
+def test_emitter_equals_json_dumps():
+    docs = []
+    for f in [maker() for maker in FIXTURE_MAKERS.values()] + [circle(20, 4), grid_map(4, 5)]:
+        docs += cli_documents(report.analyze(f))
+    docs += cli_documents(report.analyze(FIXTURE_MAKERS["circle"](), include_checks=True))
+    docs += cli_documents(report.analyze(report.parse_input('{"vertices": [], "maximal_simplices": []}'),
+                                         include_checks=True))
+    failing = report.analyze(FIXTURE_MAKERS["edge"](), include_checks=True)
+    failing.checks[0] = {"name": "bridge_identity", "passed": False,
+                         "detail": 'bars differ at "H0 [0.0, 1.0]" \\ naïve – 数'}
+    docs += cli_documents(failing)
+    for doc in docs:
+        assert report.json_text(doc) == json.dumps(doc, indent=2)
+    assert failing.to_json() == json.dumps(vars(failing), indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], "x", 0, None, True, 1.5, {"a": []}, {"a": {}},
+    [{"a": 1}, {"b": 2}, {"a": 1}],          # two key sequences in one list
+    [{"a": [1, 2]}, {"a": {"b": None}}],      # rows with nested values
+    [{1: "x"}], {"n": float("nan")},          # a non-str key, a float
+    [{"%s": "%d"}], [{"a%%b": 1, "5%": 2}],   # percent signs in keys
+    [[1, [2]], [{}]],                         # nested lists
+])
+def test_emitter_equals_json_dumps_on_odd_values(obj):
+    assert report.json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_cli_documents_equal_json_dumps(tmp_path):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": i, "value": v} for i, v in enumerate([0, 1, 2, 1])],
+        "maximal_simplices": [[0, 1], [0, 3], [1, 2], [2, 3]],
+    }))
+    doc = report.analyze(report.parse_input(path.read_text()))
+    for command, expected in zip(("analyze", "level", "sublevel", "numbers"), cli_documents(doc)):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == 0
+        assert out.read_text() == json.dumps(expected, indent=2)

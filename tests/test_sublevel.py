@@ -135,3 +135,15 @@ def test_barcode_rejects_bad_bars():
         SublevelBarcode(grid, {(0, 0.25, 1.0): 1})
     with pytest.raises(ValueError, match="negative"):
         SublevelBarcode(grid, {(0, 0.0, 1.0): -1})
+
+
+@pytest.mark.parametrize("key, text", [
+    ((0, 0.5, 1.0), "[0.5, 1.0)"),    # birth at a regular value
+    ((0, 0.0, 0.5), "[0.0, 0.5)"),    # death at a regular value
+    ((1, 0.5, INF), "[0.5, inf)"),    # infinite bar born at a regular value
+])
+def test_non_critical_endpoint_message(key, text):
+    grid = critical_values(VertexValuedMap(build_complex([[0, 1]]), {0: 0.0, 1: 1.0}))
+    with pytest.raises(ValueError) as exc:
+        SublevelBarcode(grid, {(0, 0.0, INF): 1, key: 1})
+    assert str(exc.value) == f"bar {text} has a non-critical endpoint"

@@ -7,17 +7,13 @@ one elimination primitive: columns are reduced left to right against a
 pivot table keyed by the lowest entry (highest row index) of each
 reduced column, optionally tracking which input columns were combined.
 Rank, kernel, image, subspace intersections, homology presentations
-(cycles mod boundaries, with coordinates for arbitrary cycles), induced
-maps and the classical persistence pairing (column_reduce) are all read
-off that one reduction.
+(cycles mod boundaries, from one elimination of the outgoing boundary
+and one pass over boundaries then cycles), induced maps and the
+classical persistence pairing (column_reduce) are all read off that one
+reduction.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BitMatrix",
@@ -47,17 +43,6 @@ class BitMatrix:
     """An immutable rows x cols matrix with entries in {0, 1}, as bit columns."""
 
     __slots__ = ("rows", "cols", "columns")
-
-    def __init__(self, data) -> None:
-        import numpy as np  # here, not at module level, so importing levelpers does not load numpy
-
-        arr = np.asarray(data)
-        if arr.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
-        odd = np.mod(arr, 2).astype(bool)
-        self.rows, self.cols = arr.shape
-        self.columns = tuple(sum(1 << int(i) for i in np.flatnonzero(odd[:, j]))
-                             for j in range(self.cols))
 
     @classmethod
     def from_bits(cls, columns, rows: int) -> "BitMatrix":
@@ -136,7 +121,8 @@ def rank(m: BitMatrix) -> int:
 
 
 class Subspace:
-    """A subspace of {0,1}^n spanned by an independent column basis."""
+    """A subspace of {0,1}^n spanned by an independent column basis; the
+    check costs one pivot-table miss per column on distinct lowest entries."""
 
     __slots__ = ("ambient_dim", "basis")
 
@@ -161,19 +147,17 @@ class Subspace:
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
-    """Basis of the null space; its dimension is cols - rank."""
+    """Basis of the null space; its dimension is cols - rank.  The
+    combination that clears column j has its lowest entry at j."""
     _, reduced = _eliminate(m.columns, track=True)
     return Subspace(m.cols, BitMatrix.from_bits([combo for c, combo in reduced if not c], m.cols))
 
 
-def _independent(columns) -> list[int]:
-    """Indices of the columns not in the span of the columns before them."""
-    return [j for j, (c, _) in enumerate(_eliminate(columns)[1]) if c]
-
-
 def image_basis(m: BitMatrix) -> Subspace:
-    """Basis of the column span: the pivot columns of the matrix."""
-    return Subspace(m.rows, BitMatrix.from_bits([m.columns[j] for j in _independent(m.columns)], m.rows))
+    """Basis of the column span: the reduced pivot columns, whose lowest
+    entries are distinct."""
+    pivots, _ = _eliminate(m.columns)
+    return Subspace(m.rows, BitMatrix.from_bits([c for c, _ in pivots.values()], m.rows))
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -188,29 +172,24 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
 class HomologyPresentation:
     """One homology degree of a Z2 chain complex: cycles mod boundaries.
 
-    Stores a cycle basis, a boundary basis, chosen representative cycles
-    spanning the quotient, and a pivot table of boundaries followed by
-    representatives that expresses any cycle as a boundary combination
-    plus homology coordinates.
+    boundaries are independent boundary columns and homology_reps are
+    cycle columns whose classes form a basis of the quotient.  The pivot
+    table holds the reduced boundaries, with combination 0, then the
+    reduced representatives, representative q with bit q set, so
+    reducing a cycle against it leaves its homology coordinates.
     """
 
-    __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "homology_reps", "_pivots")
+    __slots__ = ("ambient_dim", "boundaries", "homology_reps", "_pivots")
 
-    def __init__(self, ambient_dim: int, cycle_basis: Subspace,
-                 boundary_basis: Subspace, homology_reps: BitMatrix) -> None:
-        if homology_reps.cols != cycle_basis.dim - boundary_basis.dim:
-            raise ValueError("representative count must equal cycles minus boundaries")
+    def __init__(self, ambient_dim: int, boundaries: list[int], homology_reps: list[int], pivots: dict) -> None:
         self.ambient_dim = ambient_dim
-        self.cycle_basis = cycle_basis
-        self.boundary_basis = boundary_basis
+        self.boundaries = boundaries
         self.homology_reps = homology_reps
-        self._pivots, reduced = _eliminate(boundary_basis.basis.columns + homology_reps.columns, track=True)
-        if not all(c for c, _ in reduced):
-            raise ValueError("boundaries and representatives are linearly dependent")
+        self._pivots = pivots
 
     @property
     def betti(self) -> int:
-        return self.homology_reps.cols
+        return len(self.homology_reps)
 
     def _decompose(self, vector: int) -> tuple[bool, int]:
         """(is a cycle, homology coordinates as bits) of one chain column.
@@ -218,17 +197,7 @@ class HomologyPresentation:
         A cycle is a boundary iff its homology coordinates vanish.
         """
         residual, combo = _reduce(vector, self._pivots)
-        return not residual, combo >> self.boundary_basis.dim
-
-    def coordinates(self, cycle) -> np.ndarray:
-        """Homology coordinates of one cycle vector; raises if not a cycle."""
-        import numpy as np  # here, not at module level, so importing levelpers does not load numpy
-
-        v = BitMatrix(np.asarray(cycle).reshape(self.ambient_dim, 1)).columns[0]
-        ok, hom = self._decompose(v)
-        if not ok:
-            raise ValueError("vector is not a cycle")
-        return np.array([hom >> k & 1 for k in range(self.betti)], dtype=np.uint8)
+        return not residual, combo
 
     def __repr__(self) -> str:
         return f"HomologyPresentation(betti {self.betti}, ambient {self.ambient_dim})"
@@ -238,19 +207,31 @@ def homology_presentation(boundary_in: BitMatrix, boundary_out: BitMatrix) -> Ho
     """Present ker(boundary_out) / img(boundary_in).
 
     boundary_in maps the next degree into this one, boundary_out maps this
-    degree into the previous one; their composition must vanish.
+    degree into the previous one; their composition must vanish.  One
+    tracked elimination of boundary_out gives the cycles; one pass over
+    the boundary columns and then the cycles keeps each column that is
+    independent of those before it, the cycles so kept as representatives.
     """
     n = boundary_out.cols
     if boundary_in.rows != n:
         raise ValueError("boundary matrices do not share the middle chain group")
     if n and boundary_in.cols and not (boundary_out @ boundary_in).is_zero():
         raise ValueError("boundary composition is nonzero: malformed chain complex")
-    cycles = kernel_basis(boundary_out)
-    boundaries = image_basis(boundary_in)
-    nb = boundaries.dim
-    picked = _independent(boundaries.basis.columns + cycles.basis.columns)
-    reps = BitMatrix.from_bits([cycles.basis.columns[p - nb] for p in picked if p >= nb], n)
-    return HomologyPresentation(n, cycles, boundaries, reps)
+    pivots: dict[int, tuple[int, int]] = {}
+    boundaries: list[int] = []
+    reps: list[int] = []
+    for b in boundary_in.columns:
+        residual, _ = _reduce(b, pivots)
+        if residual:
+            pivots[residual.bit_length() - 1] = (residual, 0)
+            boundaries.append(b)
+    for residual, z in _eliminate(boundary_out.columns, track=True)[1]:
+        if not residual:  # z is a cycle
+            residual, combo = _reduce(z, pivots, 1 << len(reps))
+            if residual:
+                pivots[residual.bit_length() - 1] = (residual, combo)
+                reps.append(z)
+    return HomologyPresentation(n, boundaries, reps, pivots)
 
 
 def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
@@ -262,12 +243,12 @@ def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
     """
     if chain_map.rows != dst.ambient_dim or chain_map.cols != src.ambient_dim:
         raise ValueError("chain map shape does not match the presentations")
-    for b in src.boundary_basis.basis.columns:
+    for b in src.boundaries:
         ok, hom = dst._decompose(_combine(chain_map.columns, b))
         if not ok or hom:
             raise ValueError("chain map does not send boundaries to boundaries")
     columns = []
-    for z in src.homology_reps.columns:
+    for z in src.homology_reps:
         ok, hom = dst._decompose(_combine(chain_map.columns, z))
         if not ok:
             raise ValueError("chain map does not send cycles to cycles")

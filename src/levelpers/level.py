@@ -44,7 +44,7 @@ from itertools import accumulate
 from operator import sub
 
 from .complexes import CriticalGrid, VertexValuedMap, critical_values
-from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis, Subspace
+from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis
 from .slabs import SlabBuilder, homology_of, include_level
 from .sublevel import INF, SublevelBarcode, lower_star_boundary
 
@@ -106,9 +106,6 @@ class LevelBarcode:
                 raise ValueError(f"bar {bar} has a non-critical endpoint")
             cleaned[bar] = int(mult)
         self.counts = cleaned
-
-    def count(self, bar: LevelBar) -> int:
-        return self.counts.get(bar, 0)
 
     def bars(self, degree: int | None = None) -> list[tuple[LevelBar, int]]:
         items = [(b, m) for b, m in self.counts.items() if degree is None or b.degree == degree]
@@ -222,10 +219,10 @@ class RelevantNumbers:
     The constructor takes one dict per family keyed like the accessors,
     (r, t), (r, t, u), (r, t, d) and (r, t, u, d); zero entries are
     dropped, and a nonzero one outside the arrays is an error.  A
-    sentinel, a degree out of range or a reversed argument reads 0.
-    Arguments must be grid values: an in-range value between two grid
-    points also reads 0 (on the square circle level_rank(0, 0.3) is 0,
-    though the level at 0.3 has rank 2, as at the grid value 0.5).
+    sentinel, a value out of range, a degree out of range or a reversed
+    argument reads 0.  An in-range value between two grid points reads
+    as the regular value of its gap, whose level it shares (on the
+    square circle level_rank(0, 0.3) is 2, as at the grid value 0.5).
     """
 
     # per family, in constructor order: the argument positions whose grid
@@ -273,24 +270,32 @@ class RelevantNumbers:
         nums._level, nums._overlap, nums._up, nums._down, nums._both = level, overlap, up, down, both
         return nums
 
+    def _at(self, x: float) -> int | None:
+        """Grid index of x: its own, or the regular index of its gap for an
+        in-range value between grid points; None out of range."""
+        i = self._index.get(x)
+        if i is None and self._points and self._points[0] < x < self._points[-1]:
+            i = (bisect_right(self._points, x) - 1) | 1
+        return i
+
     def level_rank(self, r: int, t: float) -> int:
-        i = self._index.get(t)
+        i = self._at(t)
         return self._level[r][i] if i is not None and 0 <= r <= self.max_degree else 0
 
     def image_overlap(self, r: int, t: float, u: float) -> int:
-        i, j = self._index.get(t), self._index.get(u)
+        i, j = self._at(t), self._at(u)
         if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
             return 0
         return self._overlap[r][i][j - i]
 
     def up_kernel(self, r: int, t: float, u: float) -> int:
-        i, j = self._index.get(t), self._index.get(u)
+        i, j = self._at(t), self._at(u)
         if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
             return 0
         return self._up[r][i][j - i]
 
     def down_kernel(self, r: int, t: float, d: float) -> int:
-        i, j = self._index.get(t), self._index.get(d)
+        i, j = self._at(t), self._at(d)
         if i is None or j is None or j > i or not 0 <= r <= self.max_degree:
             return 0
         return self._down[r][i][j]
@@ -298,8 +303,7 @@ class RelevantNumbers:
     def kernel_overlap(self, r: int, t: float, u: float, d: float) -> int:
         if not 0 <= r <= self.max_degree:
             return 0
-        index = self._index
-        return self._both[r].get(index.get(t), {}).get((index.get(u), index.get(d)), 0)
+        return self._both[r].get(self._at(t), {}).get((self._at(u), self._at(d)), 0)
 
     def _scan(self, name: str, step: int) -> list[tuple]:
         """(r, ..., count) of the nonzero entries of one family whose
@@ -397,53 +401,40 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     up: dict = {}
     down: dict = {}
     both: dict = {}
-    up_spaces: dict = {}
-    down_spaces: dict = {}
+    kernels: dict = {}  # (r, t, s): the nonzero kernel from the level at t into the band between t and s
 
     for x in pts:
         for r in range(top + 1):
-            level[(r, x)] = presentations[(x, r)].betti
+            level[(r, x)] = overlap[(r, x, x)] = presentations[(x, r)].betti
 
     for ix, x in enumerate(pts):
-        for y in pts[ix:]:
-            if x == y:
-                for r in range(top + 1):
-                    betti = level[(r, x)]
-                    overlap[(r, x, x)] = betti
-                    up[(r, x, x)] = 0
-                    down[(r, x, x)] = 0
-                    up_spaces[(r, x, x)] = Subspace.zero(betti)
-                    down_spaces[(r, x, x)] = Subspace.zero(betti)
-                continue
+        for y in pts[ix + 1:]:
             needed = [r for r in range(top + 1) if level[(r, x)] or level[(r, y)]]
-            if needed:
-                band = builder.interlevel(x, y)
-                inc_x = include_level(f, x, x, y, src=levels[x], dst=band)
-                inc_y = include_level(f, y, x, y, src=levels[y], dst=band)
-            for r in range(top + 1):
-                if r not in needed:
-                    overlap[(r, x, y)] = 0
-                    up[(r, x, y)] = 0
-                    down[(r, y, x)] = 0
-                    up_spaces[(r, x, y)] = Subspace.zero(0)
-                    down_spaces[(r, y, x)] = Subspace.zero(0)
-                    continue
+            if not needed:
+                continue
+            band = builder.interlevel(x, y)
+            inc_x = include_level(f, x, x, y, src=levels[x], dst=band)
+            inc_y = include_level(f, y, x, y, src=levels[y], dst=band)
+            for r in needed:
                 target = homology_of(band, r)
                 from_low = induced_map(presentations[(x, r)], target, inc_x.chain_matrix(r))
                 from_high = induced_map(presentations[(y, r)], target, inc_y.chain_matrix(r))
                 overlap[(r, x, y)] = intersection_dim(image_basis(from_low), image_basis(from_high))
-                ker_low = kernel_basis(from_low)
-                ker_high = kernel_basis(from_high)
+                ker_low, ker_high = kernel_basis(from_low), kernel_basis(from_high)
                 up[(r, x, y)] = ker_low.dim
                 down[(r, y, x)] = ker_high.dim
-                up_spaces[(r, x, y)] = ker_low
-                down_spaces[(r, y, x)] = ker_high
+                if ker_low.dim:
+                    kernels[(r, x, y)] = ker_low
+                if ker_high.dim:
+                    kernels[(r, y, x)] = ker_high
 
     for ix, x in enumerate(pts):
         for r in range(top + 1):
-            for u in pts[ix:]:
-                for d in pts[: ix + 1]:
-                    both[(r, x, u, d)] = intersection_dim(up_spaces[(r, x, u)], down_spaces[(r, x, d)])
+            downs = [(d, kernels[(r, x, d)]) for d in pts[:ix] if (r, x, d) in kernels]
+            for u in pts[ix + 1:]:
+                if (r, x, u) in kernels:
+                    for d, ker_down in downs:
+                        both[(r, x, u, d)] = intersection_dim(kernels[(r, x, u)], ker_down)
 
     return RelevantNumbers(grid, top, level, overlap, up, down, both)
 
@@ -614,8 +605,9 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
         for k in range(P):
             probe = both.get(2 * k + 1)
             if probe:
-                # kernel_overlap(probe, T[j], T[k]) - kernel_overlap(probe, T[j], T[k + 1]) for j >= k
-                upper = [probe.get((2 * j, 2 * k), 0) - probe.get((2 * j, 2 * k + 2), 0) for j in range(k, P)]
+                # kernel_overlap(probe, T[j], T[k]) - kernel_overlap(probe, T[j], T[k + 1]) for j >= k;
+                # the second term is 0, since no table holds a d above the probe t
+                upper = [probe.get((2 * j, 2 * k), 0) for j in range(k, P)]
                 row = [0] * (k + 1)
                 row += map(sub, upper[1:], upper)
                 row.append(0)

@@ -51,9 +51,6 @@ class SublevelBarcode:
     def degrees(self) -> list[int]:
         return sorted({r for r, _, _ in self.bars})
 
-    def multiplicity(self, r: int, birth: float, death: float) -> int:
-        return self.bars.get((r, birth, death), 0)
-
     def rows(self) -> list[tuple[int, float, float, int]]:
         return sorted((r, b, d, m) for (r, b, d), m in self.bars.items())
 

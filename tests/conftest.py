@@ -123,6 +123,13 @@ def bumped(nums: RelevantNumbers, name: str, key: tuple, delta: int) -> Relevant
     return RelevantNumbers(nums.grid, nums.max_degree, *(tables[family] for family in NUMBER_FAMILIES))
 
 
+def from_dense(data) -> BitMatrix:
+    """The bit-column matrix of a two-dimensional array, entries read mod 2."""
+    odd = np.mod(np.asarray(data), 2).astype(bool)
+    rows, cols = odd.shape
+    return BitMatrix.from_bits([sum(1 << int(i) for i in np.flatnonzero(odd[:, j])) for j in range(cols)], rows)
+
+
 def dense(m: BitMatrix) -> np.ndarray:
     """The rows x cols uint8 array of a bit-column matrix."""
     out = np.zeros((m.rows, m.cols), dtype=np.uint8)
@@ -143,7 +150,7 @@ def simplicial_boundary_matrix(cx: SimplicialComplex, r: int) -> BitMatrix:
             facet = s[:i] + s[i + 1:]
             if facet:
                 m[index[facet], j] = 1
-    return BitMatrix(m)
+    return from_dense(m)
 
 
 def simplicial_betti(cx: SimplicialComplex, r: int) -> int:

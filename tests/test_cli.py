@@ -130,6 +130,27 @@ def test_cli_import_leaves_numpy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_routes_run_without_numpy():
+    # only run_checks may need numpy; with it blocked, every route still runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import sys
+        sys.modules["numpy"] = None
+        from levelpers import (BitMatrix, build_complex, column_reduce, compute_relevant_numbers,
+                               homology_presentation, induced_map, VertexValuedMap)
+        from levelpers.report import analyze
+        f = VertexValuedMap(build_complex([[0, 1], [0, 3], [1, 2], [2, 3]]), {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0})
+        assert len(analyze(f).level_bars) == 2
+        assert compute_relevant_numbers(f).level_rank(0, 0.5) == 2
+        loop = homology_presentation(BitMatrix.zeros(4, 0), BitMatrix.from_bits([0b0011, 0b0110, 0b1100, 0b1001], 4))
+        assert loop.betti == 1 and induced_map(loop, loop, BitMatrix.identity(4)) == BitMatrix.identity(1)
+        assert column_reduce(BitMatrix.from_bits([0, 0, 0b011], 3)) == ([(1, 2)], [0])
+    """
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_result_document_json_round_trip():
     doc = analyze(parse_input(CIRCLE_DOC), include_checks=True)
     assert ResultDocument.from_json(doc.to_json()) == doc

@@ -34,7 +34,7 @@ from levelpers import (
 )
 from levelpers.level import first_difference
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, random_vertex_map
+from conftest import FIXTURE_MAKERS, from_dense, random_vertex_map
 
 
 def band_barcode(f, max_degree=None):
@@ -352,7 +352,7 @@ def test_bit_column_core_matches_dense_wrapper():
                 dense[index[s[:i] + s[i + 1:]], j] = 1
             columns.append(bits)
         bit_columns = BitMatrix.from_bits(columns, len(order))
-        assert column_reduce(bit_columns) == column_reduce(BitMatrix(dense))
+        assert column_reduce(bit_columns) == column_reduce(from_dense(dense))
 
 
 def test_bit_column_core_rejects_bad_order():

@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from levelpers import (
     kernel_basis,
     rank,
 )
-from conftest import dense, random_vertex_map, simplicial_boundary_matrix
+from conftest import dense, from_dense, random_vertex_map, simplicial_boundary_matrix
 
 
 bit_matrices = hnp.arrays(
@@ -43,11 +45,9 @@ def span_vectors(subspace: Subspace):
 # --- matrices ------------------------------------------------------------------
 
 def test_bit_matrix_rejects_malformed_input():
-    with pytest.raises(ValueError, match="two-dimensional"):
-        BitMatrix([1, 0])
     with pytest.raises(ValueError, match="does not fit in 2 rows"):
         BitMatrix.from_bits([0b100], 2)
-    assert BitMatrix.from_bits([0b01, 0b11], 2) == BitMatrix([[1, 1], [0, 1]])
+    assert BitMatrix.from_bits([0b01, 0b11], 2) == from_dense([[1, 1], [0, 1]])
 
 
 # --- rank / kernel / image ---------------------------------------------------
@@ -57,11 +57,11 @@ def test_rank_identity():
 
 
 def test_rank_equal_rows():
-    assert rank(BitMatrix([[1, 1], [1, 1]])) == 1
+    assert rank(from_dense([[1, 1], [1, 1]])) == 1
 
 
 def test_rank_three_cycle_matrix():
-    m = BitMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     # oracle: of all 8 column combinations only the all-ones one vanishes
     zero_combos = []
     for picks in itertools.product([0, 1], repeat=3):
@@ -81,7 +81,7 @@ def test_kernel_identity_and_zero():
 
 
 def test_kernel_single_row():
-    ker = kernel_basis(BitMatrix([[1, 1]]))
+    ker = kernel_basis(from_dense([[1, 1]]))
     assert ker.dim == 1
     assert span_vectors(ker) == {(0, 0), (1, 1)}
 
@@ -89,7 +89,7 @@ def test_kernel_single_row():
 def test_image_cases():
     assert image_basis(BitMatrix.identity(3)).dim == 3
     assert image_basis(BitMatrix.zeros(3, 2)).dim == 0
-    img = image_basis(BitMatrix([[1, 0], [1, 0]]))
+    img = image_basis(from_dense([[1, 0], [1, 0]]))
     assert img.dim == 1
     assert span_vectors(img) == {(0, 0), (1, 1)}
 
@@ -97,14 +97,14 @@ def test_image_cases():
 @settings(max_examples=150)
 @given(bit_matrices)
 def test_rank_equals_rank_of_transpose(data):
-    m = BitMatrix(data)
-    assert rank(m) == rank(BitMatrix(dense(m).T))
+    m = from_dense(data)
+    assert rank(m) == rank(from_dense(dense(m).T))
 
 
 @settings(max_examples=150)
 @given(bit_matrices)
 def test_kernel_dim_plus_rank_is_cols(data):
-    m = BitMatrix(data)
+    m = from_dense(data)
     ker = kernel_basis(m)
     assert ker.dim + rank(m) == m.cols
     if ker.dim and m.rows:
@@ -114,10 +114,10 @@ def test_kernel_dim_plus_rank_is_cols(data):
 # --- subspace intersections --------------------------------------------------
 
 def test_intersection_trivial_cases():
-    a = Subspace(2, BitMatrix([[1], [0]]))
-    b = Subspace(2, BitMatrix([[0], [1]]))
+    a = Subspace(2, from_dense([[1], [0]]))
+    b = Subspace(2, from_dense([[0], [1]]))
     assert intersection_dim(a, b) == 0
-    diag = Subspace(2, BitMatrix([[1], [1]]))
+    diag = Subspace(2, from_dense([[1], [1]]))
     assert intersection_dim(diag, diag) == 1
     assert intersection_dim(Subspace(2, BitMatrix.identity(2)), diag) == 1
 
@@ -136,15 +136,15 @@ def test_intersection_dim_matches_enumeration(left, right):
     n = max(left.shape[0], right.shape[0])
     left = np.vstack([left, np.zeros((n - left.shape[0], left.shape[1]), dtype=np.uint8)])
     right = np.vstack([right, np.zeros((n - right.shape[0], right.shape[1]), dtype=np.uint8)])
-    a = image_basis(BitMatrix(left))
-    b = image_basis(BitMatrix(right))
+    a = image_basis(from_dense(left))
+    b = image_basis(from_dense(right))
     common = span_vectors(a) & span_vectors(b)
     assert 2 ** intersection_dim(a, b) == len(common)
 
 
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        Subspace(2, BitMatrix([[1, 1], [1, 1]]))
+        Subspace(2, from_dense([[1, 1], [1, 1]]))
 
 
 # --- homology presentations --------------------------------------------------
@@ -161,10 +161,10 @@ def test_homology_square_circle_degree_one():
     for j, (u, v) in enumerate(edges):
         m[u, j] = 1
         m[v, j] = 1
-    pres = homology_presentation(BitMatrix.zeros(4, 0), BitMatrix(m))
+    pres = homology_presentation(BitMatrix.zeros(4, 0), from_dense(m))
     assert pres.betti == 1
     # oracle: dim ker of the edge boundary is 1 (4 columns, rank 3)
-    assert rank(BitMatrix(m)) == 3
+    assert rank(from_dense(m)) == 3
 
 
 def test_homology_filled_triangle_degree_one():
@@ -174,13 +174,13 @@ def test_homology_filled_triangle_degree_one():
         d1[u, j] = 1
         d1[v, j] = 1
     d2 = np.ones((3, 1), dtype=np.uint8)  # triangle hits all three edges
-    pres = homology_presentation(BitMatrix(d2), BitMatrix(d1))
+    pres = homology_presentation(from_dense(d2), from_dense(d1))
     assert pres.betti == 0
 
 
 def test_homology_rejects_bad_composition():
     with pytest.raises(ValueError):
-        homology_presentation(BitMatrix([[1], [0]]), BitMatrix([[1, 0]]))
+        homology_presentation(from_dense([[1], [0]]), from_dense([[1, 0]]))
 
 
 def test_coordinatizer_reconstructs_cycles():
@@ -189,12 +189,46 @@ def test_coordinatizer_reconstructs_cycles():
     for j, (u, v) in enumerate(edges):
         m[u, j] = 1
         m[v, j] = 1
-    pres = homology_presentation(BitMatrix.zeros(4, 0), BitMatrix(m))
-    loop = np.ones(4, dtype=np.uint8)
-    coords = pres.coordinates(loop)
-    assert coords.shape == (1,) and coords[0] == 1
-    with pytest.raises(ValueError):
-        pres.coordinates([1, 0, 0, 0])  # a single edge is not a cycle
+    pres = homology_presentation(BitMatrix.zeros(4, 0), from_dense(m))
+    # the identity chain map sends the loop to itself, coordinate 1
+    assert induced_map(pres, pres, BitMatrix.identity(4)) == BitMatrix.identity(1)
+    # sending every edge but the first to zero maps the loop to a single edge, not a cycle
+    with pytest.raises(ValueError, match="does not send cycles to cycles"):
+        induced_map(pres, pres, BitMatrix.from_bits([0b0001, 0, 0, 0], 4))
+
+
+@st.composite
+def chain_complexes(draw):
+    """(boundary_in, boundary_out) with boundary_in made of sums of
+    kernel vectors of boundary_out, so that their composition vanishes."""
+    out = from_dense(draw(bit_matrices))
+    kernel = kernel_basis(out).basis.columns
+    picks = draw(st.lists(st.integers(0, 2 ** len(kernel) - 1), max_size=8))
+    columns = [reduce(xor, (z for k, z in enumerate(kernel) if pick >> k & 1), 0) for pick in picks]
+    return BitMatrix.from_bits(columns, out.cols), out
+
+
+@settings(max_examples=150)
+@given(chain_complexes())
+def test_homology_presentation_counts_cycles_mod_boundaries(complex_):
+    boundary_in, boundary_out = complex_
+    pres = homology_presentation(boundary_in, boundary_out)
+    assert pres.betti == (boundary_out.cols - rank(boundary_out)) - rank(boundary_in)
+    n = boundary_out.cols
+    together = BitMatrix.from_bits(pres.boundaries + pres.homology_reps, n)
+    assert rank(together) == together.cols
+    assert (boundary_out @ BitMatrix.from_bits(pres.homology_reps, n)).is_zero()
+    # every representative reads back as its own class
+    assert induced_map(pres, pres, BitMatrix.identity(n)) == BitMatrix.identity(pres.betti)
+
+
+@settings(max_examples=150)
+@given(bit_matrices)
+def test_kernel_and_image_bases_have_distinct_lowest_entries(data):
+    m = from_dense(data)
+    for basis in (kernel_basis(m).basis, image_basis(m).basis):
+        lows = [c.bit_length() - 1 for c in basis.columns]
+        assert all(basis.columns) and len(set(lows)) == len(lows)
 
 
 # --- induced maps -------------------------------------------------------------
@@ -207,7 +241,7 @@ def test_induced_identity():
 
 def test_induced_two_points_into_arc():
     pts = homology_presentation(BitMatrix.zeros(2, 0), BitMatrix.zeros(0, 2))
-    arc = homology_presentation(BitMatrix([[1], [1]]), BitMatrix.zeros(0, 2))
+    arc = homology_presentation(from_dense([[1], [1]]), BitMatrix.zeros(0, 2))
     m = induced_map(pts, arc, BitMatrix.identity(2))
     assert m.rows == 1 and m.cols == 2
     assert rank(m) == 1
@@ -217,9 +251,9 @@ def test_induced_two_points_into_arc():
 def test_induced_rejects_non_chain_map():
     # destination has no 1-cycles except boundaries; send a cycle somewhere bad
     src = homology_presentation(BitMatrix.zeros(1, 0), BitMatrix.zeros(0, 1))
-    dst = homology_presentation(BitMatrix.zeros(2, 0), BitMatrix([[1, 1]]))
+    dst = homology_presentation(BitMatrix.zeros(2, 0), from_dense([[1, 1]]))
     with pytest.raises(ValueError):
-        induced_map(src, dst, BitMatrix([[1], [0]]))  # image is not a cycle
+        induced_map(src, dst, from_dense([[1], [0]]))  # image is not a cycle
 
 
 def test_induced_respects_composition_on_random_inclusions():
@@ -244,7 +278,7 @@ def test_induced_respects_composition_on_random_inclusions():
                 m = np.zeros((len(rows), len(cols)), dtype=np.uint8)
                 for j, s in enumerate(cols):
                     m[index[s], j] = 1
-                return BitMatrix(m)
+                return from_dense(m)
 
             lo = induced_map(pres["small"], pres["mid"], inclusion(small, mid))
             hi = induced_map(pres["mid"], pres["big"], inclusion(mid, big))
@@ -259,7 +293,7 @@ def test_column_reduce_single_merge():
     m = np.zeros((3, 3), dtype=np.uint8)
     m[0, 2] = 1
     m[1, 2] = 1
-    pairs, essential = column_reduce(BitMatrix(m))
+    pairs, essential = column_reduce(from_dense(m))
     assert pairs == [(1, 2)]
     assert essential == [0]
 
@@ -273,7 +307,7 @@ def test_column_reduce_square_circle():
     for name, (u, v) in faces.items():
         m[index[u], index[name]] = 1
         m[index[v], index[name]] = 1
-    pairs, essential = column_reduce(BitMatrix(m))
+    pairs, essential = column_reduce(from_dense(m))
     assert essential == [index["a"], index["dc"]]  # one vertex (H0), one edge (H1)
     assert len(pairs) == 3
 
@@ -287,7 +321,7 @@ def test_column_reduce_rejects_bad_order():
     m = np.zeros((2, 2), dtype=np.uint8)
     m[1, 0] = 1  # entry at the diagonal-or-below
     with pytest.raises(ValueError):
-        column_reduce(BitMatrix(m))
+        column_reduce(from_dense(m))
 
 
 def test_column_reduce_indices_appear_once():
@@ -302,7 +336,7 @@ def test_column_reduce_indices_appear_once():
             if len(s) > 1:
                 for i in range(len(s)):
                     m[index[s[:i] + s[i + 1:]], j] = 1
-        pairs, essential = column_reduce(BitMatrix(m))
+        pairs, essential = column_reduce(from_dense(m))
         used = [i for p in pairs for i in p] + list(essential)
         assert len(used) == len(set(used))
 

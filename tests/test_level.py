@@ -11,6 +11,7 @@ from levelpers import (
     build_complex,
     compute_relevant_numbers,
     critical_values,
+    level_barcode,
     numbers_from_barcode,
     sublevel_barcode,
     sublevel_from_level,
@@ -72,7 +73,7 @@ def test_conventions_out_of_range_and_orientation(square_circle):
 @pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
 def test_zero_outside_the_stored_domain(name):
     # sentinels, degrees out of range and reversed reaches read 0 in both
-    # constructions, although no accessor checks its arguments
+    # constructions
     direct = compute_relevant_numbers(FIXTURE_MAKERS[name]())
     derived = numbers_from_barcode(barcode_from_overlaps(direct), direct.grid, direct.max_degree)
     for nums in (direct, derived):
@@ -102,6 +103,33 @@ def test_zero_outside_the_stored_domain(name):
                         assert nums.image_overlap(r, t, u) == nums.up_kernel(r, t, u) == 0
                         assert nums.down_kernel(r, u, t) == 0
                         assert all(nums.kernel_overlap(r, t, u, d) == 0 for d in pts[: i + 1])
+
+
+def test_off_grid_value_reads_as_its_gap(square_circle):
+    nums = numbers_from_barcode(level_barcode(square_circle), critical_values(square_circle))
+    assert nums.level_rank(0, 0.3) == nums.level_rank(0, 0.5) == nums.level_rank(0, 0.7) == 2
+    assert nums.level_rank(0, -5.0) == nums.level_rank(0, 2.5) == nums.image_overlap(0, 1.7, 0.3) == 0
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        f = random_vertex_map(rng)
+        grid = critical_values(f)
+        nums = numbers_from_barcode(level_barcode(f), grid)
+        pts = [x for x in grid.points if grid.in_range(x)]
+        T = grid.criticals
+        for k in range(len(T) - 1):
+            regular = grid.regular_above(k)
+            for inside in (T[k] + (T[k + 1] - T[k]) / 4, T[k + 1] - (T[k + 1] - T[k]) / 4):
+                for r in range(-1, nums.max_degree + 2):
+                    assert nums.level_rank(r, inside) == nums.level_rank(r, regular)
+                    for t in pts:
+                        for name in ("image_overlap", "up_kernel", "down_kernel"):
+                            read = getattr(nums, name)
+                            assert read(r, inside, t) == read(r, regular, t)
+                            assert read(r, t, inside) == read(r, t, regular)
+                        for u in pts:
+                            assert nums.kernel_overlap(r, inside, t, u) == nums.kernel_overlap(r, regular, t, u)
+                            assert nums.kernel_overlap(r, t, inside, u) == nums.kernel_overlap(r, t, regular, u)
+                            assert nums.kernel_overlap(r, t, u, inside) == nums.kernel_overlap(r, t, u, regular)
 
 
 def test_zero_entries_are_not_stored():

@@ -8,12 +8,12 @@ fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
 from .report import (
     InputError,
-    ResultDocument,
     analyze,
     json_text,
     numbers_to_csv,
@@ -65,17 +65,6 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _bars_subset(doc: ResultDocument, keep: str) -> ResultDocument:
-    return ResultDocument(
-        criticals=doc.criticals,
-        max_degree=doc.max_degree,
-        sublevel_bars=doc.sublevel_bars if keep in ("sublevel", "both") else [],
-        level_bars=doc.level_bars if keep in ("level", "both") else [],
-        numbers=doc.numbers,
-        checks=doc.checks,
-    )
-
-
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
@@ -101,19 +90,17 @@ def main(argv=None) -> int:
                 render_svg(doc, args.svg)
             _emit(doc.to_json() if args.format == "json" else result_to_csv(doc), args.output)
         elif args.command == "sublevel":
-            subset = _bars_subset(doc, "sublevel")
             if args.format == "json":
                 _emit(json_text({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars}),
                       args.output)
             else:
-                _emit(result_to_csv(subset), args.output)
+                _emit(result_to_csv(dataclasses.replace(doc, level_bars=[])), args.output)
         elif args.command == "level":
-            subset = _bars_subset(doc, "level")
             if args.format == "json":
                 _emit(json_text({"criticals": doc.criticals, "level_bars": doc.level_bars}),
                       args.output)
             else:
-                _emit(result_to_csv(subset), args.output)
+                _emit(result_to_csv(dataclasses.replace(doc, sublevel_bars=[])), args.output)
         elif args.command == "numbers":
             if args.format == "json":
                 _emit(json_text({"criticals": doc.criticals, "numbers": doc.numbers}),

@@ -2,14 +2,16 @@
 
 A simplex is a strictly sorted tuple of integer vertex ids.  A vertex
 value map extends linearly over each simplex; its critical values are
-the distinct vertex values, with one regular (midpoint) value per gap
-plus one sentinel below the minimum and one above the maximum.
+the distinct vertex values.  CriticalGrid indexes them and the gaps
+between them by integers; a float inside a gap is computed only where
+the band route slices a level there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 Simplex = tuple[int, ...]
@@ -104,53 +106,48 @@ class VertexValuedMap:
 
 @dataclass(frozen=True)
 class CriticalGrid:
-    """Sorted critical values interleaved with one regular value per gap.
+    """The sorted distinct critical values T[0] < ... < T[P-1].
 
-    regulars[0] sits below the smallest critical and regulars[-1] above
-    the largest, so every critical index has a regular neighbour on both
-    sides.
+    A level is indexed by its grid position: 2k at T[k], and 2k + 1
+    anywhere strictly inside the gap above T[k], since every regular
+    value of one gap has the same level (Simulation of Simplicity,
+    Edelsbrunner and Mücke 1990).  The in-range positions are
+    0..2P-2; a value outside [T[0], T[-1]] has none.
     """
 
     criticals: tuple[float, ...]
-    regulars: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.regulars) != len(self.criticals) + 1:
-            raise ValueError("need exactly one regular value per gap plus two sentinels")
-        merged = self.points
-        if any(merged[i] >= merged[i + 1] for i in range(len(merged) - 1)):
-            raise ValueError("critical and regular values must interleave strictly")
 
     @classmethod
     def from_criticals(cls, values) -> "CriticalGrid":
         crit = tuple(sorted(set(float(v) for v in values)))
         if not crit:
             raise ValueError("no critical values")
-        regs = [crit[0] - 1.0]
-        regs.extend((a + b) / 2.0 for a, b in zip(crit, crit[1:]))
-        regs.append(crit[-1] + 1.0)
-        return cls(crit, tuple(regs))
+        return cls(crit)
 
-    @property
-    def points(self) -> tuple[float, ...]:
-        """All grid values, regulars and criticals interleaved in order."""
-        out = []
-        for i, c in enumerate(self.criticals):
-            out.append(self.regulars[i])
-            out.append(c)
-        out.append(self.regulars[-1])
-        return tuple(out)
+    def position(self, x: float) -> int | None:
+        """2k for T[k], 2k + 1 strictly inside the gap above T[k], None
+        outside [T[0], T[-1]]."""
+        T = self.criticals
+        k = bisect_left(T, x)
+        if k < len(T) and T[k] == x:
+            return 2 * k
+        return 2 * k - 1 if 0 < k < len(T) else None
 
-    def regular_below(self, k: int) -> float:
-        """The regular value immediately below the k-th critical."""
-        return self.regulars[k]
+    def value(self, i: int) -> float:
+        """The float at position i: T[i // 2] at an even i, the gap float
+        regular_above(i // 2) at an odd one."""
+        return self.regular_above(i // 2) if i % 2 else self.criticals[i // 2]
 
     def regular_above(self, k: int) -> float:
-        """The regular value immediately above the k-th critical."""
-        return self.regulars[k + 1]
-
-    def in_range(self, x: float) -> bool:
-        return self.criticals[0] <= x <= self.criticals[-1]
+        """The float at which the band route slices the gap above T[k]:
+        its midpoint, halved first where the sum overflows."""
+        a, b = self.criticals[k], self.criticals[k + 1]
+        mid = (a + b) / 2.0
+        if not a < mid < b:
+            mid = a / 2.0 + b / 2.0
+        if not a < mid < b:
+            raise ValueError(f"no float lies strictly inside the gap ({a!r}, {b!r}) between critical values")
+        return mid
 
 
 def critical_values(f: VertexValuedMap, extra_criticals=()) -> CriticalGrid:

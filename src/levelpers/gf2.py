@@ -134,10 +134,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix.zeros(ambient_dim, 0))
-
     @property
     def dim(self) -> int:
         return self.basis.cols

@@ -24,9 +24,10 @@ Each number counts bars: a bar adds its multiplicity to every entry
 whose condition it meets, so each table is a count of bars whose ends
 lie in a range, the rank function read as a count of diagram points
 (Cohen-Steiner, Edelsbrunner and Harer 2007).  RelevantNumbers stores
-the tables as dense arrays per degree over the in-range grid indices
-(2k for the k-th critical value, 2k + 1 for the regular value above
-it); numbers_from_barcode fills them with running sums of bar-end
+the tables as dense arrays per degree over the grid positions (2k for
+the k-th critical value, 2k + 1 for the gap above it); only
+compute_relevant_numbers needs a float inside a gap, at which it slices
+the level.  numbers_from_barcode fills them with running sums of bar-end
 counts, and both conversions and the document rows read them by index.
 Only kernel_overlap, filled from the bars open at both ends, is sparse.
 compute_relevant_numbers computes the numbers directly, band by band,
@@ -36,8 +37,8 @@ reduction and serves as its oracle in the checks and tests.
 
 from __future__ import annotations
 
+import functools
 import logging
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -204,10 +205,9 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
 class RelevantNumbers:
     """The five number families over a critical grid, as rank arrays.
 
-    The in-range grid points are indexed 0..2P-2 for P critical values:
-    index 2k is the k-th critical value and 2k + 1 the regular value
-    above it, so the two sentinels sit just outside the arrays.  Per
-    degree r:
+    The arrays are indexed by grid position, 0..2P-2 for P critical
+    values: 2k is the k-th critical value and 2k + 1 the gap above it
+    (CriticalGrid.position).  Per degree r:
 
     * _level[r][i] is level_rank at index i;
     * _overlap[r][i][j - i] is image_overlap(i, j), for j >= i;
@@ -217,12 +217,12 @@ class RelevantNumbers:
       entries with u >= i >= d (the only sparse family).
 
     The constructor takes one dict per family keyed like the accessors,
-    (r, t), (r, t, u), (r, t, d) and (r, t, u, d); zero entries are
-    dropped, and a nonzero one outside the arrays is an error.  A
-    sentinel, a value out of range, a degree out of range or a reversed
-    argument reads 0.  An in-range value between two grid points reads
-    as the regular value of its gap, whose level it shares (on the
-    square circle level_rank(0, 0.3) is 2, as at the grid value 0.5).
+    (r, t), (r, t, u), (r, t, d) and (r, t, u, d), with every value a
+    grid value (CriticalGrid.value); zero entries are dropped, and a
+    nonzero one outside the arrays is an error.  The accessors read any
+    value inside a gap as that gap (on the square circle level_rank(0,
+    0.3) is 2, as at 0.5); a value out of range, a degree out of range
+    or a reversed argument reads 0.
     """
 
     # per family, in constructor order: the argument positions whose grid
@@ -232,19 +232,25 @@ class RelevantNumbers:
 
     def __init__(self, grid: CriticalGrid, max_degree: int,
                  level: dict, overlap: dict, up: dict, down: dict, both: dict) -> None:
-        self._place(grid, max_degree)
-        n = len(self._points)
+        self.grid, self.max_degree = grid, max_degree
+        n = 2 * len(grid.criticals) - 1
         degrees = range(max_degree + 1)
         self._level = [[0] * n for _ in degrees]
         self._overlap = [[[0] * (n - i) for i in range(n)] for _ in degrees]
         self._up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
         self._down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
         self._both = [{} for _ in degrees]
+
+        @functools.cache
+        def place(x: float) -> int | None:  # the position of a grid value, None for any other value
+            i = grid.position(x)
+            return i if i is not None and grid.value(i) == x else None
+
         for (name, order), table in zip(self._ORDER.items(), (level, overlap, up, down, both)):
             for key, m in table.items():
                 if not m:
                     continue
-                r, at = key[0], [self._index.get(x) for x in key[1:]]
+                r, at = key[0], [place(x) for x in key[1:]]
                 if not 0 <= r <= max_degree or None in at or any(at[a] > at[b] for a, b in zip(order, order[1:])):
                     raise ValueError(f"{name} entry {key} lies outside the in-range grid of degrees 0..{max_degree}")
                 i = at[0]
@@ -257,45 +263,31 @@ class RelevantNumbers:
                 else:
                     (self._overlap if name == "image_overlap" else self._up)[r][i][at[1] - i] = m
 
-    def _place(self, grid: CriticalGrid, max_degree: int) -> None:
-        self.grid = grid
-        self.max_degree = max_degree
-        self._points = _in_range_points(grid)
-        self._index = {x: i for i, x in enumerate(self._points)}
-
     @classmethod
     def _from_arrays(cls, grid: CriticalGrid, max_degree: int, level, overlap, up, down, both) -> "RelevantNumbers":
         nums = cls.__new__(cls)
-        nums._place(grid, max_degree)
+        nums.grid, nums.max_degree = grid, max_degree
         nums._level, nums._overlap, nums._up, nums._down, nums._both = level, overlap, up, down, both
         return nums
 
-    def _at(self, x: float) -> int | None:
-        """Grid index of x: its own, or the regular index of its gap for an
-        in-range value between grid points; None out of range."""
-        i = self._index.get(x)
-        if i is None and self._points and self._points[0] < x < self._points[-1]:
-            i = (bisect_right(self._points, x) - 1) | 1
-        return i
-
     def level_rank(self, r: int, t: float) -> int:
-        i = self._at(t)
+        i = self.grid.position(t)
         return self._level[r][i] if i is not None and 0 <= r <= self.max_degree else 0
 
     def image_overlap(self, r: int, t: float, u: float) -> int:
-        i, j = self._at(t), self._at(u)
+        i, j = self.grid.position(t), self.grid.position(u)
         if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
             return 0
         return self._overlap[r][i][j - i]
 
     def up_kernel(self, r: int, t: float, u: float) -> int:
-        i, j = self._at(t), self._at(u)
+        i, j = self.grid.position(t), self.grid.position(u)
         if i is None or j is None or j < i or not 0 <= r <= self.max_degree:
             return 0
         return self._up[r][i][j - i]
 
     def down_kernel(self, r: int, t: float, d: float) -> int:
-        i, j = self._at(t), self._at(d)
+        i, j = self.grid.position(t), self.grid.position(d)
         if i is None or j is None or j > i or not 0 <= r <= self.max_degree:
             return 0
         return self._down[r][i][j]
@@ -303,7 +295,8 @@ class RelevantNumbers:
     def kernel_overlap(self, r: int, t: float, u: float, d: float) -> int:
         if not 0 <= r <= self.max_degree:
             return 0
-        return self._both[r].get(self._at(t), {}).get((self._at(u), self._at(d)), 0)
+        at = self.grid.position
+        return self._both[r].get(at(t), {}).get((at(u), at(d)), 0)
 
     def _scan(self, name: str, step: int) -> list[tuple]:
         """(r, ..., count) of the nonzero entries of one family whose
@@ -339,8 +332,8 @@ class RelevantNumbers:
         name is the accessor's name; keys are its arguments as a tuple,
         (r, t), (r, t, u), (r, t, d) or (r, t, u, d).
         """
-        pts = self._points
-        return [((e[0], *map(pts.__getitem__, e[1:-1])), e[-1]) for e in self._scan(name, 1)]
+        value = self.grid.value
+        return [((e[0], *map(value, e[1:-1])), e[-1]) for e in self._scan(name, 1)]
 
     def critical_entries(self, name: str) -> list[tuple]:
         """The nonzero entries of one family whose arguments are all
@@ -352,7 +345,6 @@ class RelevantNumbers:
         if not isinstance(other, RelevantNumbers):
             return NotImplemented
         return (self.grid.criticals == other.grid.criticals
-                and self.grid.regulars == other.grid.regulars
                 and self.max_degree == other.max_degree
                 and self._level == other._level
                 and self._overlap == other._overlap
@@ -363,10 +355,6 @@ class RelevantNumbers:
     def __repr__(self) -> str:
         pairs = sum(len(row) - row.count(0) for rows in self._overlap for row in rows)
         return f"RelevantNumbers(degrees 0..{self.max_degree}, {pairs} pairs)"
-
-
-def _in_range_points(grid: CriticalGrid) -> list[float]:
-    return [x for x in grid.points if grid.in_range(x)]
 
 
 def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, *,
@@ -392,7 +380,7 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
         grid = critical_values(f)
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
-    pts = _in_range_points(grid)
+    pts = [grid.value(i) for i in range(2 * len(grid.criticals) - 1)]
     levels = {x: builder.level(x) for x in pts}
     presentations = {(x, r): homology_of(levels[x], r) for x in pts for r in range(top + 1)}
 
@@ -443,8 +431,9 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
                          max_degree: int | None = None) -> RelevantNumbers:
     """Derive all five number families from a level barcode by counting.
 
-    Per degree, a bar is the range [first, end) of in-range grid indices
-    it contains plus its open ends.  image_overlap(i, j) counts the bars
+    Per degree, a bar is the range [first, end) of grid positions it
+    contains plus its open ends; T[k] is at 2k, so a closed end sits on
+    its critical's position and an open one on the gap next to it.  image_overlap(i, j) counts the bars
     with first <= i and last >= j: row i is a running sum, from the top,
     of the bars begun by i per last index, and level_rank is its
     diagonal.  up_kernel(i, u) counts the bars containing i whose open
@@ -452,18 +441,18 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
     of the bars begun by i.  down_kernel mirrors it, from the top down.
     A bar open at both ends adds to kernel_overlap(t, u, d) for every t
     it contains, u at or above its right end and d at or below its left
-    end.  For n in-range grid points the cost is O(n^2) per degree, the
+    end.  For n grid positions the cost is O(n^2) per degree, the
     size of the tables, plus the kernel_overlap entries.
     """
     top = bc.max_degree() if max_degree is None else max_degree
     top = max(top, 0)
-    pts = _in_range_points(grid)
-    n = len(pts)
+    at = {t: 2 * k for k, t in enumerate(grid.criticals)}
+    n = 2 * len(grid.criticals) - 1
     spans: list[list] = [[] for _ in range(top + 1)]
     for b, m in bc.counts.items():
         if 0 <= b.degree <= top:
-            first = bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left)
-            end = bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)
+            first = at[b.left] + (not b.left_closed)
+            end = at[b.right] + b.right_closed
             if first < end:
                 spans[b.degree].append((first, end, m, b.left_closed, b.right_closed))
     level, overlap, up, down, both = [], [], [], [], []
@@ -550,8 +539,8 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     itself and has its regular neighbour towards the bar inside.  The
     count of a bar with inside points x, y and outside points x', y' is
     ov(x, y) - ov(x', y) - ov(x, y') + ov(x', y'), one rule for all four
-    kinds; a singleton is closed at both ends, and a sentinel reads 0.
-    With T[k] at index 2k, a left end fixes the rows x and x' of the
+    kinds; a singleton is closed at both ends, and a point outside the
+    grid reads 0.  With T[k] at index 2k, a left end fixes the rows x and x' of the
     table, and one difference of the two rows along y gives the counts
     of every right end: closed at T[j] at offset 2j, open at 2j - 1.
     """
@@ -563,7 +552,7 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
         if not any(map(any, ov)):  # every count of the degree is 0
             continue
         for k in range(P):
-            # left end closed: x = 2k, x' = 2k - 1 (the sentinel below T[0] reads 0)
+            # left end closed: x = 2k, x' = 2k - 1 (no point below T[0]: a zero row)
             closed = _differences(ov[2 * k], ov[2 * k - 1][1:] if k else [0] * len(ov[0]))
             rows = [closed[0::2], [], [], closed[1::2]]
             if k + 1 < P:  # left end open: x = 2k + 1, x' = 2k

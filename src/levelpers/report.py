@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -73,9 +74,12 @@ def _parse_value(raw, where: str) -> float:
     if not (isinstance(raw, (int, float)) and not isinstance(raw, bool)):
         raise InputError(f"{where}: expected a number, got {raw!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except OverflowError:
-        raise InputError(f"{where}: number too large for a float") from None
+        value = INF
+    if not math.isfinite(value):  # an integer past the float range, or a literal such as 1e400
+        raise InputError(f"{where}: number too large for a float")
+    return value
 
 
 def _parse_simplex_list(raw, known_ids, where: str):
@@ -315,7 +319,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
     builder = SlabBuilder(f)
-    pts = [x for x in grid.points if grid.in_range(x)]
+    pts = [grid.value(i) for i in range(2 * len(grid.criticals) - 1)]
     complexes = [builder.level(x) for x in pts]
     spans = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
     sampled = [spans[i] for i in sorted(rng.choice(len(spans), size=min(6, len(spans)), replace=False))] if spans else []
@@ -338,7 +342,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         T = grid.criticals
         for k in range(len(T) - 1):
             lo, hi = T[k], T[k + 1]
-            probe = lo + (hi - lo) * float(rng.uniform(0.1, 0.9))
+            probe = _between(lo, hi, float(rng.uniform(0.1, 0.9)))
             a = betti_numbers(builder.level(grid.regular_above(k)), top)
             b = betti_numbers(builder.level(probe), top)
             if a != b:
@@ -347,9 +351,9 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
 
     def refinement_independence():
         for a, b in sampled:
-            extra = a + (b - a) * float(rng.uniform(0.3, 0.7))
+            extra = _between(a, b, float(rng.uniform(0.3, 0.7)))
             while extra in f.values.values():
-                extra = a + (b - a) * float(rng.uniform(0.3, 0.7))
+                extra = _between(a, b, float(rng.uniform(0.3, 0.7)))
             plain = builder.interlevel(a, b)
             refined = builder.interlevel(a, b, extra_slices=(extra,))
             if betti_numbers(plain, top) != betti_numbers(refined, top):
@@ -428,6 +432,18 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     check("nonnegative_counts", nonnegative_counts)
     check("redundant_critical_invariance", redundant_critical_invariance)
     return results
+
+
+def _half_scale(lo: float, hi: float) -> float:
+    """1.0, or 0.5 where hi - lo overflows: the factor that keeps a span
+    between two finite floats finite, and leaves every finite one exact."""
+    return 1.0 if math.isfinite(hi - lo) else 0.5
+
+
+def _between(lo: float, hi: float, u: float) -> float:
+    """lo + (hi - lo) * u, at half scale where hi - lo overflows."""
+    h = _half_scale(lo, hi)
+    return (lo * h + (hi * h - lo * h) * u) / h
 
 
 def _induced_rank(f, t, a, b, band, builder, r):
@@ -546,12 +562,11 @@ def svg_text(doc: ResultDocument) -> str:
     tracks = _tracks(doc)
     lo = min(criticals, default=0.0)
     hi = max(criticals, default=1.0)
-    if hi == lo:
-        hi = lo + 1.0
-    span = hi - lo
+    h = _half_scale(lo, hi)
+    span = hi * h - lo * h or 1.0  # one critical value: every x is lo, at the left margin
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - lo) / span * _PLOT_W
+        return _MARGIN_L + (x * h - lo * h) / span * _PLOT_W
 
     height = _MARGIN_T + max(len(tracks), 1) * _TRACK_H + 40
     width = _MARGIN_L + _PLOT_W + _MARGIN_R

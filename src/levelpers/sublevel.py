@@ -123,7 +123,7 @@ def betti_from_bars(bc: SublevelBarcode, r: int, t: float, t2: float) -> int:
 
 @dataclass
 class BettiTable:
-    """Persistence Betti numbers tabulated over grid pairs and infinity."""
+    """Persistence Betti numbers over pairs of critical values and infinity."""
 
     grid: CriticalGrid
     degrees: tuple[int, ...]
@@ -132,11 +132,11 @@ class BettiTable:
     @classmethod
     def from_barcode(cls, bc: SublevelBarcode, degrees=None) -> "BettiTable":
         degs = tuple(degrees) if degrees is not None else tuple(bc.degrees())
-        pts = bc.grid.points
+        T = bc.grid.criticals
         beta: dict[tuple[int, float, float], int] = {}
         for r in degs:
-            for i, t in enumerate(pts):
-                for t2 in pts[i:]:
+            for i, t in enumerate(T):
+                for t2 in T[i:]:
                     beta[(r, t, t2)] = betti_from_bars(bc, r, t, t2)
                 beta[(r, t, INF)] = betti_from_bars(bc, r, t, INF)
         return cls(bc.grid, degs, beta)
@@ -145,21 +145,19 @@ class BettiTable:
 def bars_from_betti(table: BettiTable) -> SublevelBarcode:
     """Bar multiplicities from Betti numbers by inclusion-exclusion.
 
-    For criticals t_0 < ... < t_N, let p be the critical before t_i, with
-    the sentinel grid.regular_below(0) before t_0: no bar is born by it,
-    so its Betti numbers are 0.  The bars born at t_i that contain [t_i, y]
-    number a(y) = beta(t_i, y) - beta(p, y), so [t_i, t_j) has multiplicity
-    a(t_(j-1)) - a(t_j), the four-term difference, and [t_i, inf) has
-    a(inf).  Any negative result means the table is not a persistence
-    Betti table.
+    For criticals t_0 < ... < t_N, the bars born at t_i that contain
+    [t_i, y] number a(y) = beta(t_i, y) - beta(t_(i-1), y), the row
+    before t_0 reading 0 (no bar is born before it); so [t_i, t_j) has
+    multiplicity a(t_(j-1)) - a(t_j), the four-term difference, and
+    [t_i, inf) has a(inf).  Any negative result means the table is not a
+    persistence Betti table.
     """
     T = table.grid.criticals
-    before = (table.grid.regular_below(0),) + T
     bars: dict[tuple[int, float, float], int] = {}
     beta = table.beta
     for r in table.degrees:
         for i, ti in enumerate(T):
-            a = [beta[(r, ti, y)] - beta[(r, before[i], y)] for y in T[i:] + (INF,)]
+            a = [beta[(r, ti, y)] - (beta[(r, T[i - 1], y)] if i else 0) for y in T[i:] + (INF,)]
             mults = [a[k] - a[k + 1] for k in range(len(a) - 2)] + [a[-1]]
             for tj, mult in zip(T[i + 1:] + (INF,), mults):
                 if mult < 0:

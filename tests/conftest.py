@@ -112,6 +112,17 @@ def random_vertex_map(rng: np.random.Generator) -> VertexValuedMap:
     return VertexValuedMap(cx, values)
 
 
+def grid_values(grid) -> list[float]:
+    """The float at every grid position: the critical values and, between
+    them, the float at which the band route slices each gap."""
+    return [grid.value(i) for i in range(2 * len(grid.criticals) - 1)]
+
+
+def outside(grid) -> tuple[float, float]:
+    """A value below the grid and one above it, where every number reads 0."""
+    return grid.criticals[0] - 1.0, grid.criticals[-1] + 1.0
+
+
 NUMBER_FAMILIES = ("level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap")
 
 

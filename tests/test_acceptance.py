@@ -33,7 +33,7 @@ from levelpers import (
 )
 from levelpers.cli import main
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, random_vertex_map
+from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, grid_values, random_vertex_map
 
 RANDOM_COUNT = 100
 _CACHE: dict = {}
@@ -166,7 +166,7 @@ def test_criterion_5_structural_invariants():
         try:
             grid = critical_values(f)
             builder = SlabBuilder(f)
-            pts = [x for x in grid.points if grid.in_range(x)]
+            pts = grid_values(grid)
             complexes = [builder.level(x) for x in pts]
             spans = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
             if spans:

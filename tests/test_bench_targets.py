@@ -1,6 +1,7 @@
 """The benchmark's tracer still finds every function it wraps, the band
-route still gives the benchmark's reference `check` output, and `analyze`
-still gives its reference `level-small` documents and drawings.
+route still gives the benchmark's reference `check` output, `analyze`
+still gives its reference `level-small` documents and drawings, and the
+library route still gives the reference `sublevel-large` bars.
 
 bench/tracing.py wraps named functions in the levelpers modules from
 outside; a target that moves or is renamed is reported as absent, and
@@ -42,6 +43,18 @@ def test_level_small_ladder_reports_no_problem(monkeypatch, tmp_path):
     import worker
 
     runner = worker.Runner("level-small", worker.checks.DEFAULT_SEED, tmp_path)
+    assert runner.expected and all(runner.expected)
+    for i, job in enumerate(runner.jobs):
+        _, problems = runner.run(i)
+        assert problems == [], job.name
+
+
+def test_sublevel_large_ladder_reports_no_problem(monkeypatch, tmp_path):
+    # every library-route `sublevel` job of the seed-0 ladder, checked against bench/reference_digests.json
+    monkeypatch.syspath_prepend(str(BENCH))
+    import worker
+
+    runner = worker.Runner("sublevel-large", worker.checks.DEFAULT_SEED, tmp_path)
     assert runner.expected and all(runner.expected)
     for i, job in enumerate(runner.jobs):
         _, problems = runner.run(i)

@@ -215,7 +215,9 @@ HUGE = "1" * 401  # finite as an integer, too large for a float
     ('{"vertices": [{"id": 0, "value": %s}], "maximal_simplices": []}' % HUGE, r"vertices\[0\]\.value"),
     ('{"filtration": {"times": [0, %s], "stages": [[[0]], [[0]]]}}' % HUGE, r"filtration\.times\[1\]"),
     ('{"vertices": [{"id": 0, "value": %s}], "maximal_simplices": []}' % ("1" * 5000), "invalid JSON"),
-], ids=["vertex-value", "filtration-time", "past-digit-limit"])
+    ('{"vertices": [{"id": 0, "value": 1e400}], "maximal_simplices": []}', r"vertices\[0\]\.value: number too large"),
+    ('{"filtration": {"times": [0, 1e400], "stages": [[[0]], [[0]]]}}', r"filtration\.times\[1\]: number too large"),
+], ids=["vertex-value", "filtration-time", "past-digit-limit", "float-vertex-value", "float-filtration-time"])
 def test_huge_integer_literal_is_an_input_error(text, message, tmp_path, capsys):
     with pytest.raises(InputError, match=message):
         parse_input(text)
@@ -225,16 +227,58 @@ def test_huge_integer_literal_is_an_input_error(text, message, tmp_path, capsys)
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("values", [(1.0, 1.0000000000000002), (1e17, 2e17), (0, 1.7e308)])
-def test_cli_float_grid_failure_is_one_line(values, tmp_path, capsys):
-    path = tmp_path / "grid.json"
+def edge_path(tmp_path, values) -> Path:
+    path = tmp_path / "edge.json"
     path.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
                                 "maximal_simplices": [[0, 1]]}))
-    for command in ["analyze", "sublevel", "level", "numbers", "check", "svg"]:
-        assert main([command, "--input", str(path)]) == 1
+    return path
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0000000000000002), (1e17, 2e17), (0, 1.7e308),
+                                    (1e308, 1.7e308), (-1.7e308, 1.7e308)],
+                         ids=["adjacent-doubles", "past-2-53", "zero-to-huge", "sum-overflows", "span-overflows"])
+def test_cli_float_grid_edges(values, tmp_path, capsys):
+    # only the gap's position matters, never a float inside it, until the
+    # band route of `check` slices the gap
+    path = edge_path(tmp_path, values)
+    a, b = (repr(float(v)) for v in values)
+    for command in ["analyze", "sublevel", "level", "numbers", "svg"]:
+        assert main([command, "--input", str(path)]) == 0, command
+        out = capsys.readouterr().out
+        if command == "level":
+            assert json.loads(out)["level_bars"] == [{"degree": 0, "left": "closed", "birth": a, "death": b,
+                                                      "right": "closed", "multiplicity": 1}]
+        elif command == "sublevel":
+            assert json.loads(out)["sublevel_bars"] == [{"degree": 0, "birth": a, "death": None, "multiplicity": 1}]
+        elif command == "svg":
+            assert "nan" not in out and "inf" not in out
+    if values == (1.0, 1.0000000000000002):
+        assert main(["check", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert f"({a}, {b})" in err
+    else:
+        assert main(["check", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "10/10 checks passed"
+
+
+def test_cli_svg_spans_past_the_largest_float(tmp_path):
+    svg = tmp_path / "wide.svg"
+    assert main(["analyze", "--input", str(edge_path(tmp_path, (-1.7e308, 1.7e308))), "--svg", str(svg),
+                 "--output", str(tmp_path / "out.json")]) == 0
+    text = svg.read_text()
+    assert "nan" not in text
+    # the two criticals sit at the two ends of the plot, as on a small span
+    assert 'x1="70.00"' in text and 'x1="590.00"' in text
+    assert text == svg_text(analyze(parse_input(edge_path(tmp_path, (-1.0, 1.0)).read_text()))).replace(
+        ">-1.0<", ">-1.7e+308<").replace(">1.0<", ">1.7e+308<")
+
+
+def test_cli_svg_of_one_huge_critical(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"vertices": [{"id": 0, "value": 1e17}], "maximal_simplices": []}')
+    assert main(["svg", "--input", str(path)]) == 0
+    assert 'cx="70.00"' in capsys.readouterr().out
 
 
 def test_cli_check_passes(circle_path, capsys):

@@ -1,7 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from levelpers import (
+    CriticalGrid,
     Filtration,
     VertexValuedMap,
     build_complex,
@@ -57,15 +63,42 @@ def test_critical_values_midpoints_and_sentinels():
     f = VertexValuedMap(cx, {0: 0.0, 1: 1.0, 2: 1.0, 3: 2.0})
     grid = critical_values(f)
     assert grid.criticals == (0.0, 1.0, 2.0)
-    assert grid.regulars == (-1.0, 0.5, 1.5, 3.0)
-    assert grid.points == (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    assert [grid.regular_above(k) for k in range(2)] == [0.5, 1.5]
+    assert [grid.value(i) for i in range(5)] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert [grid.position(x) for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)] == [None, 0, 1, 2, 3, 4, None]
+    # every value inside a gap has the gap's position
+    assert [grid.position(x) for x in (0.1, 0.9, 1.2, 1.9999)] == [1, 1, 3, 3]
 
 
 def test_critical_values_single_vertex():
     f = VertexValuedMap(build_complex([[4]]), {4: 5.0})
     grid = critical_values(f)
     assert grid.criticals == (5.0,)
-    assert grid.regulars == (4.0, 6.0)
+    assert [grid.position(x) for x in (4.0, 5.0, 6.0)] == [None, 0, None]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(finite, finite)
+@example(1.0, 1.0000000000000002)
+@example(1e308, 1.7e308)
+@example(-1.7e308, 1.7e308)
+@example(5e-324, 1.5e-323)
+@example(-5e-324, 5e-324)
+def test_gap_float_lies_inside_its_gap(a, b):
+    a, b = sorted((a + 0.0, b + 0.0))
+    assume(a < b)
+    grid = CriticalGrid.from_criticals([a, b])
+    if math.nextafter(a, b) == b:
+        with pytest.raises(ValueError, match=re.escape(f"no float lies strictly inside the gap ({a!r}, {b!r})")):
+            grid.regular_above(0)
+        return
+    mid = grid.regular_above(0)
+    assert a < mid < b and grid.position(mid) == 1 and grid.value(1) == mid
+    if a < (a + b) / 2 < b:  # the midpoint, as the band route has always sliced
+        assert mid == (a + b) / 2
 
 
 def test_critical_values_dedup():

@@ -34,7 +34,7 @@ from levelpers import (
 )
 from levelpers.level import first_difference
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, from_dense, random_vertex_map
+from conftest import FIXTURE_MAKERS, from_dense, grid_values, outside, random_vertex_map
 
 
 def band_barcode(f, max_degree=None):
@@ -202,7 +202,7 @@ def test_large_inputs_are_consistent(maker):
     assert barcode_from_kernels(nums) == bc
     assert sublevel_from_level(bc, top) == sublevel_barcode(f, grid)
     builder = SlabBuilder(f)
-    for x in grid.regulars:
+    for x in (*outside(grid), *grid_values(grid)[1::2]):
         betti = betti_numbers(builder.level(x), top)
         assert [nums.level_rank(r, x) for r in range(top + 1)] == list(betti), x
 

@@ -18,7 +18,7 @@ from levelpers import (
     VertexValuedMap,
 )
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, bumped, random_vertex_map
+from conftest import FIXTURE_MAKERS, bumped, grid_values, outside, random_vertex_map
 
 
 def bars_of(bc):
@@ -47,7 +47,7 @@ def test_direct_numbers_circle(square_circle):
 def test_direct_numbers_interval_edge(edge_map):
     nums = compute_relevant_numbers(edge_map)
     grid = nums.grid
-    pts = [x for x in grid.points if grid.in_range(x)]
+    pts = grid_values(grid)
     for i, x in enumerate(pts):
         for y in pts[i:]:
             assert nums.image_overlap(0, x, y) == 1
@@ -60,7 +60,7 @@ def test_direct_numbers_interval_edge(edge_map):
 def test_conventions_out_of_range_and_orientation(square_circle):
     nums = compute_relevant_numbers(square_circle)
     grid = nums.grid
-    below, above = grid.regulars[0], grid.regulars[-1]
+    below, above = outside(grid)
     assert nums.image_overlap(0, below, 2.0) == 0
     assert nums.image_overlap(0, 0.0, above) == 0
     assert nums.level_rank(0, below) == 0
@@ -78,8 +78,8 @@ def test_zero_outside_the_stored_domain(name):
     derived = numbers_from_barcode(barcode_from_overlaps(direct), direct.grid, direct.max_degree)
     for nums in (direct, derived):
         grid, top = nums.grid, nums.max_degree
-        below, above = grid.regulars[0], grid.regulars[-1]
-        pts = [x for x in grid.points if grid.in_range(x)]
+        below, above = outside(grid)
+        pts = grid_values(grid)
         for r in range(-1, top + 2):
             for s in (below, above):
                 assert nums.level_rank(r, s) == 0
@@ -114,7 +114,7 @@ def test_off_grid_value_reads_as_its_gap(square_circle):
         f = random_vertex_map(rng)
         grid = critical_values(f)
         nums = numbers_from_barcode(level_barcode(f), grid)
-        pts = [x for x in grid.points if grid.in_range(x)]
+        pts = grid_values(grid)
         T = grid.criticals
         for k in range(len(T) - 1):
             regular = grid.regular_above(k)
@@ -179,7 +179,7 @@ def test_numbers_from_barcode_circle(square_circle):
 def test_numbers_from_empty_barcode():
     grid = CriticalGrid.from_criticals([0.0, 1.0])
     nums = numbers_from_barcode(LevelBarcode(grid, {}), grid, 1)
-    pts = [x for x in grid.points if grid.in_range(x)]
+    pts = grid_values(grid)
     assert all(nums.level_rank(r, x) == 0 for r in (0, 1) for x in pts)
 
 

@@ -24,14 +24,14 @@ from levelpers import (
     numbers_from_barcode,
 )
 from levelpers.cli import main
-from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, random_vertex_map
+from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map
 
 
 def counted_entries(bc, grid, top):
     """Sorted nonzero entries of each family, counted bar by bar: a bar
     adds its multiplicity at every in-range grid point it contains, at
     every pair of them, and over the reaches past its open ends."""
-    pts = [x for x in grid.points if grid.in_range(x)]
+    pts = grid_values(grid)
     level, overlap, up, down, both = Counter(), Counter(), Counter(), Counter(), Counter()
     for b, m in bc.counts.items():
         r = b.degree
@@ -137,14 +137,16 @@ KINDS = ((True, True), (False, False), (False, True), (True, False))
 def scalar_overlap_route(nums):
     """Bar counts from image_overlap, one accessor call per term."""
     grid, T = nums.grid, nums.grid.criticals
+    below, above = outside(grid)
+    pts = [below, *grid_values(grid), above]  # T[k] at 2k + 1, with a regular value on each side
     counts = {}
     for r in range(nums.max_degree + 1):
         ov = lambda x, y: nums.image_overlap(r, x, y)
         for k, tk in enumerate(T):
             for j in range(k, len(T)):
                 for lc, rc in KINDS if j > k else KINDS[:1]:
-                    x, x_out = (tk, grid.regular_below(k)) if lc else (grid.regular_above(k), tk)
-                    y, y_out = (T[j], grid.regular_above(j)) if rc else (grid.regular_below(j), T[j])
+                    x, x_out = (tk, pts[2 * k]) if lc else (pts[2 * k + 2], tk)
+                    y, y_out = (T[j], pts[2 * j + 2]) if rc else (pts[2 * j], T[j])
                     m = ov(x, y) - ov(x_out, y) - ov(x, y_out) + ov(x_out, y_out)
                     if m:
                         bar = LevelBar(r, tk, T[j], lc, rc)
@@ -160,7 +162,7 @@ def scalar_kernel_route(nums):
     counts = {}
     for r in range(nums.max_degree + 1):
         oo = {}
-        for k in range(n):
+        for k in range(n - 1):
             probe = grid.regular_above(k)
             for j in range(k + 1, n):
                 e = lambda upper, lower: nums.kernel_overlap(r, probe, upper, lower)
@@ -218,7 +220,7 @@ def outcome(route, nums):
 def corrupted(rng, nums):
     """nums with one to three entries of one family moved, at critical
     arguments half the time, so that one pass meets several negatives."""
-    pts, P = nums.grid.points[1:-1], len(nums.grid.criticals)
+    pts, P = grid_values(nums.grid), len(nums.grid.criticals)
     name = NUMBER_FAMILIES[int(rng.integers(0, 5))]
     probe = 2 * int(rng.integers(0, P - 1)) + 1 if P > 1 else 0  # one probe of the kernel route
     for _ in range(int(rng.integers(1, 4))):

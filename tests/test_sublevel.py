@@ -102,7 +102,7 @@ def test_betti_table_monotone_in_the_interval():
         f = random_vertex_map(rng)
         bc = sublevel_barcode(f)
         table = BettiTable.from_barcode(bc)
-        pts = bc.grid.points
+        pts = bc.grid.criticals
         for r in table.degrees:
             for i, t in enumerate(pts):
                 for j in range(i, len(pts) - 1):

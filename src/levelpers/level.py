@@ -25,19 +25,20 @@ whose condition it meets, so each table is a count of bars whose ends
 lie in a range, the rank function read as a count of diagram points
 (Cohen-Steiner, Edelsbrunner and Harer 2007).  RelevantNumbers stores
 the tables as dense arrays per degree over the grid positions (2k for
-the k-th critical value, 2k + 1 for the gap above it); only
-compute_relevant_numbers needs a float inside a gap, at which it slices
-the level.  numbers_from_barcode fills them with running sums of bar-end
-counts, and both conversions and the document rows read them by index.
-Only kernel_overlap, filled from the bars open at both ends, is sparse.
-compute_relevant_numbers computes the numbers directly, band by band,
-from level and interlevel cell complexes; it is independent of the cone
-reduction and serves as its oracle in the checks and tests.
+the k-th critical value, 2k + 1 for the gap above it), and its one
+constructor takes them as they are stored.  Both routes write the
+arrays by position: numbers_from_barcode fills them with running sums
+of bar-end counts; compute_relevant_numbers computes them directly,
+band by band, from level and interlevel cell complexes, independent of
+the cone reduction, and serves as its oracle in the checks and tests.
+It is the only code here that needs a float inside a gap, at which it
+slices the level.  Both conversions, the document rows and entries
+read the arrays by position.  Only kernel_overlap, filled from the bars
+open at both ends, is sparse.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -126,21 +127,33 @@ class LevelBarcode:
 
 
 def first_difference(a, b) -> str:
-    """Name the first bar whose multiplicity differs between two barcodes.
+    """Name the first bar or number whose count differs between a and b.
 
-    Works for two level barcodes or two sub-level barcodes; bars are
-    visited in sorted order.  Returns "" when the barcodes are equal.
+    Works for two level barcodes, two sub-level barcodes or two
+    RelevantNumbers; bars, and numbers by (family, degree, positions),
+    are visited in sorted order.  A number is named like its accessor
+    call, with a gap written as the open interval it spans.  Returns ""
+    when a and b are equal.
     """
     if a.grid.criticals != b.grid.criticals:
         return f"critical values {list(a.grid.criticals)} vs {list(b.grid.criticals)}"
+    what = "multiplicity"
     if isinstance(a, LevelBarcode):
         ca, cb, name = a.counts, b.counts, str
+    elif isinstance(a, RelevantNumbers):
+        if a.max_degree != b.max_degree:
+            return f"degrees 0..{a.max_degree} vs 0..{b.max_degree}"
+        T = a.grid.criticals
+        ca, cb = ({(family, *e[:-1]): e[-1] for family in _FAMILIES for e in nums.entries(family)} for nums in (a, b))
+        point = lambda i: f"({T[i // 2]}, {T[i // 2 + 1]})" if i % 2 else f"{T[i // 2]}"
+        name = lambda k: f"{k[0]}({k[1]}, {', '.join(map(point, k[2:]))})"
+        what = "count"
     else:
         ca, cb = a.bars, b.bars
         name = lambda k: f"H{k[0]} [{k[1]}, {'inf' if k[2] == INF else k[2]})"
     for key in sorted(ca.keys() | cb.keys()):
         if ca.get(key, 0) != cb.get(key, 0):
-            return f"{name(key)} with multiplicity {ca.get(key, 0)} vs {cb.get(key, 0)}"
+            return f"{name(key)} with {what} {ca.get(key, 0)} vs {cb.get(key, 0)}"
     return ""
 
 
@@ -202,73 +215,35 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
     return LevelBarcode(grid, counts)
 
 
+# the five families, by accessor name
+_FAMILIES = ("level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap")
+
+
 class RelevantNumbers:
     """The five number families over a critical grid, as rank arrays.
 
     The arrays are indexed by grid position, 0..2P-2 for P critical
     values: 2k is the k-th critical value and 2k + 1 the gap above it
-    (CriticalGrid.position).  Per degree r:
+    (CriticalGrid.position).  The constructor takes them as they are
+    stored; per degree r:
 
-    * _level[r][i] is level_rank at index i;
-    * _overlap[r][i][j - i] is image_overlap(i, j), for j >= i;
-    * _up[r][i][u - i] is up_kernel(i, u), for u >= i;
-    * _down[r][i][d] is down_kernel(i, d), for d <= i;
-    * _both[r] maps i to {(u, d): count}, the nonzero kernel_overlap
+    * level[r][i] is level_rank at position i;
+    * overlap[r][i][j - i] is image_overlap(i, j), for j >= i;
+    * up[r][i][u - i] is up_kernel(i, u), for u >= i;
+    * down[r][i][d] is down_kernel(i, d), for d <= i;
+    * both[r] maps i to {(u, d): count}, the nonzero kernel_overlap
       entries with u >= i >= d (the only sparse family).
 
-    The constructor takes one dict per family keyed like the accessors,
-    (r, t), (r, t, u), (r, t, d) and (r, t, u, d), with every value a
-    grid value (CriticalGrid.value); zero entries are dropped, and a
-    nonzero one outside the arrays is an error.  The accessors read any
-    value inside a gap as that gap (on the square circle level_rank(0,
-    0.3) is 2, as at 0.5); a value out of range, a degree out of range
-    or a reversed argument reads 0.
+    The accessors take values and read any value inside a gap as that
+    gap (on the square circle level_rank(0, 0.3) is 2, as at 0.5); a
+    value out of range, a degree out of range or a reversed argument
+    reads 0.  entries and critical_entries list positions, so no gap is
+    ever named by a float.
     """
 
-    # per family, in constructor order: the argument positions whose grid
-    # indices must not decrease (u >= t, d <= t)
-    _ORDER = {"level_rank": (0,), "image_overlap": (0, 1), "up_kernel": (0, 1),
-              "down_kernel": (1, 0), "kernel_overlap": (2, 0, 1)}
-
-    def __init__(self, grid: CriticalGrid, max_degree: int,
-                 level: dict, overlap: dict, up: dict, down: dict, both: dict) -> None:
+    def __init__(self, grid: CriticalGrid, max_degree: int, level, overlap, up, down, both) -> None:
         self.grid, self.max_degree = grid, max_degree
-        n = 2 * len(grid.criticals) - 1
-        degrees = range(max_degree + 1)
-        self._level = [[0] * n for _ in degrees]
-        self._overlap = [[[0] * (n - i) for i in range(n)] for _ in degrees]
-        self._up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
-        self._down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
-        self._both = [{} for _ in degrees]
-
-        @functools.cache
-        def place(x: float) -> int | None:  # the position of a grid value, None for any other value
-            i = grid.position(x)
-            return i if i is not None and grid.value(i) == x else None
-
-        for (name, order), table in zip(self._ORDER.items(), (level, overlap, up, down, both)):
-            for key, m in table.items():
-                if not m:
-                    continue
-                r, at = key[0], [place(x) for x in key[1:]]
-                if not 0 <= r <= max_degree or None in at or any(at[a] > at[b] for a, b in zip(order, order[1:])):
-                    raise ValueError(f"{name} entry {key} lies outside the in-range grid of degrees 0..{max_degree}")
-                i = at[0]
-                if name == "level_rank":
-                    self._level[r][i] = m
-                elif name == "down_kernel":
-                    self._down[r][i][at[1]] = m
-                elif name == "kernel_overlap":
-                    self._both[r].setdefault(i, {})[(at[1], at[2])] = m
-                else:
-                    (self._overlap if name == "image_overlap" else self._up)[r][i][at[1] - i] = m
-
-    @classmethod
-    def _from_arrays(cls, grid: CriticalGrid, max_degree: int, level, overlap, up, down, both) -> "RelevantNumbers":
-        nums = cls.__new__(cls)
-        nums.grid, nums.max_degree = grid, max_degree
-        nums._level, nums._overlap, nums._up, nums._down, nums._both = level, overlap, up, down, both
-        return nums
+        self._level, self._overlap, self._up, self._down, self._both = level, overlap, up, down, both
 
     def level_rank(self, r: int, t: float) -> int:
         i = self.grid.position(t)
@@ -306,34 +281,25 @@ class RelevantNumbers:
         if name == "level_rank":
             for r, row in enumerate(self._level):
                 out += [(r, i, m) for i, m in enumerate(row[::step]) if m]
-        elif name in ("image_overlap", "up_kernel"):
-            for r, rows in enumerate(self._overlap if name == "image_overlap" else self._up):
-                for i, row in enumerate(rows[::step]):
-                    if any(row):
-                        out += [(r, i, j, m) for j, m in enumerate(row[::step], i) if m]
-        elif name == "down_kernel":
-            for r, rows in enumerate(self._down):
-                for i, row in enumerate(rows[::step]):
-                    if any(row):
-                        out += [(r, i, d, m) for d, m in enumerate(row[::step]) if m]
         elif name == "kernel_overlap":
             for r, by_point in enumerate(self._both):
                 for i in sorted(by_point):
                     if i % step == 0:
                         out += [(r, i // step, u // step, d // step, m) for (u, d), m in sorted(by_point[i].items())
                                 if u % step == d % step == 0]
-        else:
-            raise KeyError(name)
+        else:  # a KeyError for any other name
+            tables = {"image_overlap": self._overlap, "up_kernel": self._up, "down_kernel": self._down}[name]
+            for r, rows in enumerate(tables):
+                for i, row in enumerate(rows[::step]):
+                    if any(row):  # row[o] is at i + o, or at o for down_kernel
+                        out += [(r, i, j, m) for j, m in enumerate(row[::step], 0 if name == "down_kernel" else i) if m]
         return out
 
-    def entries(self, name: str) -> list[tuple[tuple, int]]:
-        """Sorted (key, count) pairs of the nonzero entries of one family.
-
-        name is the accessor's name; keys are its arguments as a tuple,
-        (r, t), (r, t, u), (r, t, d) or (r, t, u, d).
-        """
-        value = self.grid.value
-        return [((e[0], *map(value, e[1:-1])), e[-1]) for e in self._scan(name, 1)]
+    def entries(self, name: str) -> list[tuple]:
+        """The nonzero entries of one family as sorted (r, i, ..., count)
+        tuples: name is the accessor's name, and its arguments are grid
+        positions, (i), (i, u), (i, d) or (i, u, d)."""
+        return self._scan(name, 1)
 
     def critical_entries(self, name: str) -> list[tuple]:
         """The nonzero entries of one family whose arguments are all
@@ -362,10 +328,12 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
                              builder: SlabBuilder | None = None) -> RelevantNumbers:
     """Compute the five number families directly from cell complexes.
 
-    For every in-range grid pair the level complexes are included into
-    the interlevel complex; ranks, kernels and image overlaps of the
-    induced maps fill the tables.  Degrees where both levels have no
-    homology are skipped without building the band.
+    For every pair of grid positions i < j the level complexes are
+    included into the interlevel complex; ranks, kernels and image
+    overlaps of the induced maps fill the arrays at (i, j).  Degrees
+    where both levels have no homology are skipped without building the
+    band.  Position i is sliced at grid.value(i), so a gap that holds
+    no float is a ValueError naming it.
 
     builder (default: a new one) must be a SlabBuilder of f; passing
     the same builder to several calls on one map, as run_checks does,
@@ -380,49 +348,49 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
         grid = critical_values(f)
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
-    pts = [grid.value(i) for i in range(2 * len(grid.criticals) - 1)]
-    levels = {x: builder.level(x) for x in pts}
-    presentations = {(x, r): homology_of(levels[x], r) for x in pts for r in range(top + 1)}
+    n = 2 * len(grid.criticals) - 1
+    degrees = range(top + 1)
+    pts = [grid.value(i) for i in range(n)]
+    levels = [builder.level(x) for x in pts]
+    presentations = [[homology_of(c, r) for r in degrees] for c in levels]
+    level = [[presentations[i][r].betti for i in range(n)] for r in degrees]
+    overlap = [[[row[i]] + [0] * (n - 1 - i) for i in range(n)] for row in level]
+    up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
+    down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
+    both: list[dict] = [{} for _ in degrees]
+    kernels = {}  # (r, i, j): the nonzero kernel from the level at i into the band between i and j
 
-    level: dict = {}
-    overlap: dict = {}
-    up: dict = {}
-    down: dict = {}
-    both: dict = {}
-    kernels: dict = {}  # (r, t, s): the nonzero kernel from the level at t into the band between t and s
-
-    for x in pts:
-        for r in range(top + 1):
-            level[(r, x)] = overlap[(r, x, x)] = presentations[(x, r)].betti
-
-    for ix, x in enumerate(pts):
-        for y in pts[ix + 1:]:
-            needed = [r for r in range(top + 1) if level[(r, x)] or level[(r, y)]]
+    for i, x in enumerate(pts):
+        for j in range(i + 1, n):
+            needed = [r for r in degrees if level[r][i] or level[r][j]]
             if not needed:
                 continue
+            y = pts[j]
             band = builder.interlevel(x, y)
-            inc_x = include_level(f, x, x, y, src=levels[x], dst=band)
-            inc_y = include_level(f, y, x, y, src=levels[y], dst=band)
+            inc_x = include_level(f, x, x, y, src=levels[i], dst=band)
+            inc_y = include_level(f, y, x, y, src=levels[j], dst=band)
             for r in needed:
                 target = homology_of(band, r)
-                from_low = induced_map(presentations[(x, r)], target, inc_x.chain_matrix(r))
-                from_high = induced_map(presentations[(y, r)], target, inc_y.chain_matrix(r))
-                overlap[(r, x, y)] = intersection_dim(image_basis(from_low), image_basis(from_high))
+                from_low = induced_map(presentations[i][r], target, inc_x.chain_matrix(r))
+                from_high = induced_map(presentations[j][r], target, inc_y.chain_matrix(r))
+                overlap[r][i][j - i] = intersection_dim(image_basis(from_low), image_basis(from_high))
                 ker_low, ker_high = kernel_basis(from_low), kernel_basis(from_high)
-                up[(r, x, y)] = ker_low.dim
-                down[(r, y, x)] = ker_high.dim
+                up[r][i][j - i] = ker_low.dim
+                down[r][j][i] = ker_high.dim
                 if ker_low.dim:
-                    kernels[(r, x, y)] = ker_low
+                    kernels[(r, i, j)] = ker_low
                 if ker_high.dim:
-                    kernels[(r, y, x)] = ker_high
+                    kernels[(r, j, i)] = ker_high
 
-    for ix, x in enumerate(pts):
-        for r in range(top + 1):
-            downs = [(d, kernels[(r, x, d)]) for d in pts[:ix] if (r, x, d) in kernels]
-            for u in pts[ix + 1:]:
-                if (r, x, u) in kernels:
+    for i in range(n):
+        for r in degrees:
+            downs = [(d, kernels[(r, i, d)]) for d in range(i) if (r, i, d) in kernels]
+            for u in range(i + 1, n):
+                if (r, i, u) in kernels:
                     for d, ker_down in downs:
-                        both[(r, x, u, d)] = intersection_dim(kernels[(r, x, u)], ker_down)
+                        m = intersection_dim(kernels[(r, i, u)], ker_down)
+                        if m:
+                            both[r].setdefault(i, {})[(u, d)] = m
 
     return RelevantNumbers(grid, top, level, overlap, up, down, both)
 
@@ -498,7 +466,7 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
         up.append(up_rows)
         down.append(down_rows)
         both.append({t: slot for t, slot in cube.items() if slot})
-    return RelevantNumbers._from_arrays(grid, top, level, overlap, up, down, both)
+    return RelevantNumbers(grid, top, level, overlap, up, down, both)
 
 
 def _require_nonneg(value: int, what: str, *args) -> int:

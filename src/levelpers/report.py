@@ -255,18 +255,16 @@ def _sublevel_rows(sb) -> list[dict]:
 
 
 def _level_rows(bc: LevelBarcode) -> list[dict]:
-    rows = []
-    for bar, mult in bc.bars():
-        rows.append({
-            "degree": bar.degree,
-            "left": "closed" if bar.left_closed else "open",
-            "birth": fmt_value(bar.left),
-            "death": fmt_value(bar.right),
-            "right": "closed" if bar.right_closed else "open",
-            "multiplicity": mult,
-        })
-    rows.sort(key=lambda d: (d["degree"], float(d["birth"]), float(d["death"]), d["left"], d["right"]))
-    return rows
+    order = sorted(bc.counts.items(), key=lambda e: (e[0].degree, e[0].left, e[0].right,
+                                                     not e[0].left_closed, not e[0].right_closed))
+    return [{
+        "degree": bar.degree,
+        "left": "closed" if bar.left_closed else "open",
+        "birth": fmt_value(bar.left),
+        "death": fmt_value(bar.right),
+        "right": "closed" if bar.right_closed else "open",
+        "multiplicity": mult,
+    } for bar, mult in order]
 
 
 _NUMBER_ARGS = {"level_rank": ("t",), "image_overlap": ("t", "u"), "up_kernel": ("t", "u"),
@@ -380,7 +378,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     def numbers_round_trip():
         back = numbers_from_barcode(bc, grid, nums.max_degree)
         if back != nums:
-            raise AssertionError("numbers -> bars -> numbers is not the identity")
+            raise AssertionError(f"numbers -> bars -> numbers is not the identity at {first_difference(back, nums)}")
 
     sb = sublevel_barcode(f, grid)
 
@@ -400,7 +398,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     def betti_multiplicity_round_trip():
         back = bars_from_betti(BettiTable.from_barcode(sb))
         if back != sb:
-            raise AssertionError("bars -> Betti -> bars is not the identity")
+            raise AssertionError(f"bars -> Betti -> bars is not the identity at {first_difference(back, sb)}")
 
     def nonnegative_counts():
         # conversion routes validate all intermediate counts; recheck outputs

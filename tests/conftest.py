@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -127,11 +129,24 @@ NUMBER_FAMILIES = ("level_rank", "image_overlap", "up_kernel", "down_kernel", "k
 
 
 def bumped(nums: RelevantNumbers, name: str, key: tuple, delta: int) -> RelevantNumbers:
-    """The same numbers rebuilt from entries(), with entry key of family
-    name moved by delta."""
-    tables = {family: dict(nums.entries(family)) for family in NUMBER_FAMILIES}
-    tables[name][key] = tables[name].get(key, 0) + delta
-    return RelevantNumbers(nums.grid, nums.max_degree, *(tables[family] for family in NUMBER_FAMILIES))
+    """A deep copy of nums with one entry of family name moved by delta;
+    key is the entry's accessor arguments (r, t, ...), each a grid value."""
+    out = copy.deepcopy(nums)
+    r, (i, *rest) = key[0], [nums.grid.position(x) for x in key[1:]]
+    if name == "level_rank":
+        out._level[r][i] += delta
+    elif name in ("image_overlap", "up_kernel"):
+        (out._overlap if name == "image_overlap" else out._up)[r][i][rest[0] - i] += delta
+    elif name == "down_kernel":
+        out._down[r][i][rest[0]] += delta
+    else:  # the sparse family keeps only its nonzero entries
+        slot, at = out._both[r].setdefault(i, {}), tuple(rest)
+        slot[at] = slot.get(at, 0) + delta
+        if not slot[at]:
+            del slot[at]
+        if not slot:
+            del out._both[r][i]
+    return out
 
 
 def from_dense(data) -> BitMatrix:

@@ -211,7 +211,7 @@ def test_criterion_6_nonnegativity():
     results = pipelines()
     bad = []
     for name, (f, nums, bc, bc_k, sb, bridged) in results.items():
-        if any(count < 0 for name in NUMBER_FAMILIES for _, count in nums.entries(name)):
+        if any(count < 0 for name in NUMBER_FAMILIES for *_, count in nums.entries(name)):
             bad.append(f"{name}: negative relevant number")
         if any(m < 0 for m in bc.counts.values()) or any(m < 0 for m in sb.bars.values()):
             bad.append(f"{name}: negative bar count")

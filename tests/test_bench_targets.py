@@ -8,6 +8,7 @@ outside; a target that moves or is renamed is reported as absent, and
 its per-layer metrics silently read 0.
 """
 
+import json
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -23,6 +24,29 @@ def test_every_wrap_target_is_present(monkeypatch):
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_check_feeds_the_band_route_counts(monkeypatch, tmp_path):
+    # counts whose arguments or results change shape are listed as absent
+    # and read 0; one traced `check` must feed the band route's counts
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import levelpers.cli as cli
+
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate([0, 1, 2, 1])],
+                                "maximal_simplices": [[0, 1], [0, 3], [1, 2], [2, 3]]}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_job(0)
+        assert cli.main(["check", "--input", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    metrics = tracing.per_job(tracer.spans, tracer.counts)[0]
+    for metric in ("level.grid_points", "level.bands", "slabs.complexes"):
+        assert metrics[metric] > 0, metric
 
 
 def test_check_small_ladder_reports_no_problem(monkeypatch, tmp_path):

@@ -34,7 +34,7 @@ from levelpers import (
 )
 from levelpers.level import first_difference
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, from_dense, grid_values, outside, random_vertex_map
+from conftest import FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_vertex_map
 
 
 def band_barcode(f, max_degree=None):
@@ -398,6 +398,30 @@ def test_check_compares_band_route_with_cone(monkeypatch, square_circle):
     results = {c.name: c for c in report.run_checks(square_circle)}
     assert not results["conversion_agreement"].passed
     assert "H1 [0.0, 2.0] with multiplicity 0 vs 1" in results["conversion_agreement"].detail
+
+
+def test_numbers_round_trip_names_the_first_differing_entry(monkeypatch, square_circle):
+    real = report.numbers_from_barcode
+    monkeypatch.setattr(report, "numbers_from_barcode", lambda bc, grid, top: bumped(
+        real(bc, grid, top), "image_overlap", (0, 0.5, 1.5), 1))
+    results = {c.name: c for c in report.run_checks(square_circle)}
+    assert not results["numbers_round_trip"].passed
+    assert results["numbers_round_trip"].detail == ("numbers -> bars -> numbers is not the identity at "
+                                                    "image_overlap(0, (0.0, 1.0), (1.0, 2.0)) with count 3 vs 2")
+
+
+def test_betti_round_trip_names_the_first_differing_bar(monkeypatch, square_circle):
+    real = report.bars_from_betti
+
+    def dropping(table):
+        sb = real(table)
+        return SublevelBarcode(sb.grid, {key: m for key, m in sb.bars.items() if key != min(sb.bars)})
+
+    monkeypatch.setattr(report, "bars_from_betti", dropping)
+    results = {c.name: c for c in report.run_checks(square_circle)}
+    assert not results["betti_multiplicity_round_trip"].passed
+    assert results["betti_multiplicity_round_trip"].detail == \
+        "bars -> Betti -> bars is not the identity at H0 [0.0, inf) with multiplicity 0 vs 1"
 
 
 # --- observability ---------------------------------------------------------------

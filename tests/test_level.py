@@ -5,7 +5,6 @@ from levelpers import (
     CriticalGrid,
     LevelBar,
     LevelBarcode,
-    RelevantNumbers,
     barcode_from_kernels,
     barcode_from_overlaps,
     build_complex,
@@ -18,7 +17,7 @@ from levelpers import (
     VertexValuedMap,
 )
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, bumped, grid_values, outside, random_vertex_map
+from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map
 
 
 def bars_of(bc):
@@ -133,17 +132,16 @@ def test_off_grid_value_reads_as_its_gap(square_circle):
 
 
 def test_zero_entries_are_not_stored():
-    grid = CriticalGrid.from_criticals([0.0, 1.0])
-    tables = [{(0, 0.0): 1}, {(0, 0.0, 1.0): 1}, {(0, 0.0, 1.0): 2}, {(0, 1.0, 0.0): 1},
-              {(0, 0.5, 1.0, 0.0): 1}]
-    zeros = [{(0, 0.5): 0}, {(0, 0.5, 1.0): 0}, {(0, 0.5, 1.0): 0}, {(0, 1.0, 0.5): 0},
-             {(0, 0.5, 1.0, 0.5): 0}]
-    sparse = RelevantNumbers(grid, 0, *tables)
-    padded = RelevantNumbers(grid, 0, *({**t, **z} for t, z in zip(tables, zeros)))
-    assert padded == sparse
-    names = ["level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_overlap"]
-    for name, table in zip(names, tables):
-        assert padded.entries(name) == sparse.entries(name) == sorted(table.items())
+    # kernel_overlap, the one sparse family, keeps only its nonzero counts
+    # in both constructions, so the two compare equal entry for entry
+    rng = np.random.default_rng(46)
+    for f in [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(8)]:
+        direct = compute_relevant_numbers(f)
+        derived = numbers_from_barcode(level_barcode(f), direct.grid, direct.max_degree)
+        for nums in (direct, derived):
+            assert all(slot and all(slot.values()) for by_point in nums._both for slot in by_point.values())
+            assert all(e[-1] for name in NUMBER_FAMILIES for e in nums.entries(name))
+        assert direct == derived
 
 
 def test_barcode_from_overlaps_fixtures(square_circle, octahedron, lambda_map):

@@ -3,6 +3,7 @@ conversions against scalar passes over the accessors, and the JSON
 emitter against json.dumps."""
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -14,7 +15,6 @@ from levelpers import (
     CriticalGrid,
     LevelBar,
     LevelBarcode,
-    RelevantNumbers,
     VertexValuedMap,
     build_complex,
     barcode_from_kernels,
@@ -28,22 +28,23 @@ from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outsi
 
 
 def counted_entries(bc, grid, top):
-    """Sorted nonzero entries of each family, counted bar by bar: a bar
-    adds its multiplicity at every in-range grid point it contains, at
-    every pair of them, and over the reaches past its open ends."""
+    """Sorted nonzero (r, i, ..., count) entries of each family, counted bar
+    by bar: a bar adds its multiplicity at every in-range grid position it
+    contains, at every pair of them, and over the reaches past its open
+    ends.  The positions come from bisecting the grid's floats."""
     pts = grid_values(grid)
     level, overlap, up, down, both = Counter(), Counter(), Counter(), Counter(), Counter()
     for b, m in bc.counts.items():
         r = b.degree
         if not 0 <= r <= top:
             continue
-        inside = pts[bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left):
-                     bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right)]
-        reach_up = [] if b.right_closed else pts[bisect_left(pts, b.right):]
-        reach_down = [] if b.left_closed else pts[:bisect_right(pts, b.left)]
-        for i, t in enumerate(inside):
+        inside = range(bisect_left(pts, b.left) if b.left_closed else bisect_right(pts, b.left),
+                       bisect_right(pts, b.right) if b.right_closed else bisect_left(pts, b.right))
+        reach_up = [] if b.right_closed else range(bisect_left(pts, b.right), len(pts))
+        reach_down = [] if b.left_closed else range(bisect_right(pts, b.left))
+        for t in inside:
             level[(r, t)] += m
-            for u in inside[i:]:
+            for u in range(t, inside.stop):
                 overlap[(r, t, u)] += m
             for d in reach_down:
                 down[(r, t, d)] += m
@@ -51,7 +52,7 @@ def counted_entries(bc, grid, top):
                 up[(r, t, u)] += m
                 for d in reach_down:
                     both[(r, t, u, d)] += m
-    return {name: sorted((k, c) for k, c in table.items() if c)
+    return {name: sorted((*k, c) for k, c in table.items() if c)
             for name, table in zip(NUMBER_FAMILIES, (level, overlap, up, down, both))}
 
 
@@ -88,39 +89,40 @@ def test_tables_match_the_per_bar_count():
             expected = counted_entries(bc, grid, top)
             for family in NUMBER_FAMILIES:
                 assert nums.entries(family) == expected[family], (name, top, family)
-            rebuilt = RelevantNumbers(grid, top, *(dict(expected[family]) for family in NUMBER_FAMILIES))
-            assert rebuilt == nums, (name, top)
 
 
 def test_critical_entries_are_the_entries_at_critical_values(square_circle):
     grid = critical_values(square_circle)
     nums = numbers_from_barcode(level_barcode(square_circle, grid), grid)
-    T = grid.criticals
     for family in NUMBER_FAMILIES:
-        expected = [entry for entry in nums.entries(family) if set(entry[0][1:]) <= set(T)]
-        assert expected and [((e[0], *(T[k] for k in e[1:-1])), e[-1]) for e in nums.critical_entries(family)] \
-            == expected
+        expected = [(e[0], *(i // 2 for i in e[1:-1]), e[-1]) for e in nums.entries(family)
+                    if all(i % 2 == 0 for i in e[1:-1])]
+        assert expected and nums.critical_entries(family) == expected
     with pytest.raises(KeyError):
         nums.entries("betti")
 
 
-@pytest.mark.parametrize("table, key", [
-    (0, (1, 0.0)),               # degree above max_degree
-    (0, (0, -1.0)),              # the sentinel below
-    (0, (0, 0.25)),              # between grid points
-    (1, (0, 1.0, 0.0)),          # reversed image_overlap
-    (2, (0, 1.0, 0.5)),          # reversed up_kernel
-    (3, (0, 0.0, 1.0)),          # reversed down_kernel
-    (4, (0, 0.5, 0.0, 0.0)),     # kernel_overlap with its upper end below t
-])
-def test_nonzero_entry_outside_the_arrays_is_refused(table, key):
-    grid = CriticalGrid.from_criticals([0.0, 1.0])
-    tables = [{}, {}, {}, {}, {}]
-    tables[table][key] = 1
-    with pytest.raises(ValueError, match="lies outside the in-range grid"):
-        RelevantNumbers(grid, 0, *tables)
-    tables[table][key] = 0
-    assert RelevantNumbers(grid, 0, *tables) == RelevantNumbers(grid, 0, {}, {}, {}, {}, {})
+def test_no_float_is_computed_inside_a_gap(monkeypatch):
+    # only the band route slices a gap at a float; the cone, the tables,
+    # both conversions, entries and every output read positions only
+    def refuse(grid, k):
+        raise AssertionError(f"a float inside the gap above {grid.criticals[k]} was computed")
+
+    monkeypatch.setattr(CriticalGrid, "regular_above", refuse)
+    maps = [VertexValuedMap(build_complex([[0, 1]]), {0: 1.0, 1: math.nextafter(1.0, 2.0)})]
+    maps += [maker() for maker in FIXTURE_MAKERS.values()] + [circle(40, 7)]
+    for f in maps:
+        doc = report.analyze(f)
+        assert all((doc.to_json(), report.result_to_csv(doc), report.numbers_to_csv(doc), report.svg_text(doc)))
+        grid = critical_values(f)
+        bc = level_barcode(f, grid)
+        nums = numbers_from_barcode(bc, grid)
+        assert barcode_from_overlaps(nums) == barcode_from_kernels(nums) == bc
+        T = grid.criticals
+        for name in NUMBER_FAMILIES:
+            assert all(entry[-1] for entry in nums.entries(name))
+            for r, *ks, count in nums.critical_entries(name):
+                assert getattr(nums, name)(r, *(T[k] for k in ks)) == count
 
 
 # --- conversions against scalar passes over the accessors ----------------------

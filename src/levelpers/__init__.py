@@ -50,8 +50,6 @@ from .slabs import (
     betti_numbers,
     homology_of,
     include_level,
-    interlevel_complex,
-    level_complex,
     validate,
 )
 from .sublevel import (
@@ -97,11 +95,9 @@ __all__ = [
     "image_basis",
     "include_level",
     "induced_map",
-    "interlevel_complex",
     "intersection_dim",
     "kernel_basis",
     "level_barcode",
-    "level_complex",
     "lower_star_filtration",
     "numbers_from_barcode",
     "rank",

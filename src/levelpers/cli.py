@@ -44,13 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("svg", "render the barcode drawing"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        # each subcommand takes only the options it reads; main reads these defaults for the rest
+        p.set_defaults(format="json", max_degree=None, seed=0, svg=None)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if name not in ("check", "svg"):
+            p.add_argument("--format", choices=["json", "csv"])
+        if name != "sublevel":  # the sub-level bars come from the uncut barcode
+            p.add_argument("--max-degree", type=int)
+        if name == "check":
+            p.add_argument("--seed", type=int, help="seed for randomized checks")
         if name == "analyze":
-            p.add_argument("--svg", default=None, help="also render an SVG to this path")
+            p.add_argument("--svg", help="also render an SVG to this path")
     return parser
 
 
@@ -70,7 +75,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             parsed = parse_input(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:

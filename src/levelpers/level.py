@@ -24,9 +24,10 @@ Each number counts bars: a bar adds its multiplicity to every entry
 whose condition it meets, so each table is a count of bars whose ends
 lie in a range, the rank function read as a count of diagram points
 (Cohen-Steiner, Edelsbrunner and Harer 2007).  RelevantNumbers stores
-the tables as dense arrays per degree over the grid positions (2k for
-the k-th critical value, 2k + 1 for the gap above it), and its one
-constructor takes them as they are stored.  Both routes write the
+four tables as dense arrays per degree over the grid positions (2k for
+the k-th critical value, 2k + 1 for the gap above it): level_rank(t) is
+image_overlap(t, t), the diagonal of the overlap table.  Its one
+constructor takes the arrays as they are stored.  Both routes write the
 arrays by position: numbers_from_barcode fills them with running sums
 of bar-end counts; compute_relevant_numbers computes them directly,
 band by band, from level and interlevel cell complexes, independent of
@@ -34,7 +35,7 @@ the cone reduction, and serves as its oracle in the checks and tests.
 It is the only code here that needs a float inside a gap, at which it
 slices the level.  Both conversions, the document rows and entries
 read the arrays by position.  Only kernel_overlap, filled from the bars
-open at both ends, is sparse.
+open at both ends in one sweep per grid position, is sparse.
 """
 
 from __future__ import annotations
@@ -220,15 +221,16 @@ _FAMILIES = ("level_rank", "image_overlap", "up_kernel", "down_kernel", "kernel_
 
 
 class RelevantNumbers:
-    """The five number families over a critical grid, as rank arrays.
+    """The five number families over a critical grid, as four rank arrays.
 
     The arrays are indexed by grid position, 0..2P-2 for P critical
     values: 2k is the k-th critical value and 2k + 1 the gap above it
     (CriticalGrid.position).  The constructor takes them as they are
-    stored; per degree r:
+    stored, one list per degree 0..max_degree; per degree r:
 
-    * level[r][i] is level_rank at position i;
-    * overlap[r][i][j - i] is image_overlap(i, j), for j >= i;
+    * overlap[r][i][j - i] is image_overlap(i, j), for j >= i; its
+      diagonal overlap[r][i][0], the overlap of a level with itself, is
+      level_rank at position i;
     * up[r][i][u - i] is up_kernel(i, u), for u >= i;
     * down[r][i][d] is down_kernel(i, d), for d <= i;
     * both[r] maps i to {(u, d): count}, the nonzero kernel_overlap
@@ -241,13 +243,13 @@ class RelevantNumbers:
     ever named by a float.
     """
 
-    def __init__(self, grid: CriticalGrid, max_degree: int, level, overlap, up, down, both) -> None:
-        self.grid, self.max_degree = grid, max_degree
-        self._level, self._overlap, self._up, self._down, self._both = level, overlap, up, down, both
+    def __init__(self, grid: CriticalGrid, overlap, up, down, both) -> None:
+        self.grid, self.max_degree = grid, len(overlap) - 1
+        self._overlap, self._up, self._down, self._both = overlap, up, down, both
 
     def level_rank(self, r: int, t: float) -> int:
         i = self.grid.position(t)
-        return self._level[r][i] if i is not None and 0 <= r <= self.max_degree else 0
+        return self._overlap[r][i][0] if i is not None and 0 <= r <= self.max_degree else 0
 
     def image_overlap(self, r: int, t: float, u: float) -> int:
         i, j = self.grid.position(t), self.grid.position(u)
@@ -278,9 +280,9 @@ class RelevantNumbers:
         arguments all sit at multiples of step, each index divided by
         step, in sorted order."""
         out = []
-        if name == "level_rank":
-            for r, row in enumerate(self._level):
-                out += [(r, i, m) for i, m in enumerate(row[::step]) if m]
+        if name == "level_rank":  # the diagonal of image_overlap
+            for r, rows in enumerate(self._overlap):
+                out += [(r, i, row[0]) for i, row in enumerate(rows[::step]) if row[0]]
         elif name == "kernel_overlap":
             for r, by_point in enumerate(self._both):
                 for i in sorted(by_point):
@@ -311,8 +313,6 @@ class RelevantNumbers:
         if not isinstance(other, RelevantNumbers):
             return NotImplemented
         return (self.grid.criticals == other.grid.criticals
-                and self.max_degree == other.max_degree
-                and self._level == other._level
                 and self._overlap == other._overlap
                 and self._up == other._up
                 and self._down == other._down
@@ -354,7 +354,7 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     levels = [builder.level(x) for x in pts]
     presentations = [[homology_of(c, r) for r in degrees] for c in levels]
     level = [[presentations[i][r].betti for i in range(n)] for r in degrees]
-    overlap = [[[row[i]] + [0] * (n - 1 - i) for i in range(n)] for row in level]
+    overlap = [[[row[i]] + [0] * (n - 1 - i) for i in range(n)] for row in level]  # level_rank on the diagonal
     up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
     down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
     both: list[dict] = [{} for _ in degrees]
@@ -365,10 +365,9 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
             needed = [r for r in degrees if level[r][i] or level[r][j]]
             if not needed:
                 continue
-            y = pts[j]
-            band = builder.interlevel(x, y)
-            inc_x = include_level(f, x, x, y, src=levels[i], dst=band)
-            inc_y = include_level(f, y, x, y, src=levels[j], dst=band)
+            band = builder.interlevel(x, pts[j])
+            inc_x = include_level(levels[i], band)
+            inc_y = include_level(levels[j], band)
             for r in needed:
                 target = homology_of(band, r)
                 from_low = induced_map(presentations[i][r], target, inc_x.chain_matrix(r))
@@ -392,26 +391,27 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
                         if m:
                             both[r].setdefault(i, {})[(u, d)] = m
 
-    return RelevantNumbers(grid, top, level, overlap, up, down, both)
+    return RelevantNumbers(grid, overlap, up, down, both)
 
 
-def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
-                         max_degree: int | None = None) -> RelevantNumbers:
+def numbers_from_barcode(bc: LevelBarcode, max_degree: int | None = None) -> RelevantNumbers:
     """Derive all five number families from a level barcode by counting.
 
-    Per degree, a bar is the range [first, end) of grid positions it
-    contains plus its open ends; T[k] is at 2k, so a closed end sits on
-    its critical's position and an open one on the gap next to it.  image_overlap(i, j) counts the bars
-    with first <= i and last >= j: row i is a running sum, from the top,
-    of the bars begun by i per last index, and level_rank is its
-    diagonal.  up_kernel(i, u) counts the bars containing i whose open
-    right end lies at or below u: a running sum over the open right ends
-    of the bars begun by i.  down_kernel mirrors it, from the top down.
-    A bar open at both ends adds to kernel_overlap(t, u, d) for every t
-    it contains, u at or above its right end and d at or below its left
-    end.  For n grid positions the cost is O(n^2) per degree, the
-    size of the tables, plus the kernel_overlap entries.
+    The numbers are over the barcode's own grid.  Per degree, a bar is
+    the range [first, end) of grid positions it contains plus its open
+    ends; T[k] is at 2k, so a closed end sits on its critical's position
+    and an open one on the gap next to it.  image_overlap(i, j) counts
+    the bars with first <= i and last >= j: row i is a running sum, from
+    the top, of the bars begun by i per last index, and level_rank is
+    its diagonal.  up_kernel(i, u) counts the bars containing i whose
+    open right end lies at or below u: a running sum over the open right
+    ends of the bars begun by i.  down_kernel mirrors it, from the top
+    down.  kernel_overlap(t, u, d) counts the bars open at both ends that
+    contain t, for u at or above the right end and d at or below the
+    left end (_kernel_overlaps).  For n grid positions the cost is O(n^2)
+    per degree, the size of the tables, plus the kernel_overlap entries.
     """
+    grid = bc.grid
     top = bc.max_degree() if max_degree is None else max_degree
     top = max(top, 0)
     at = {t: 2 * k for k, t in enumerate(grid.criticals)}
@@ -423,7 +423,7 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
             end = at[b.right] + b.right_closed
             if first < end:
                 spans[b.degree].append((first, end, m, b.left_closed, b.right_closed))
-    level, overlap, up, down, both = [], [], [], [], []
+    overlap, up, down, both = [], [], [], []
     for bars in spans:
         begun = [[] for _ in range(n)]  # first index -> (end, m, right closed)
         ended = [[] for _ in range(n)]  # last index -> (first, m) of the left-open bars
@@ -453,20 +453,37 @@ def numbers_from_barcode(bc: LevelBarcode, grid: CriticalGrid,
             row = list(accumulate(reversed(left_open[:i]), initial=0))
             row.reverse()
             down_rows[i] = row
-        cube: dict[int, dict] = {}
-        for first, end, m, lc, rc in bars:
-            if not (lc or rc):
-                for t in range(first, end):
-                    slot = cube.setdefault(t, {})
-                    for u in range(end, n):
-                        for d in range(first):
-                            slot[(u, d)] = slot.get((u, d), 0) + m
-        level.append([row[0] for row in ov_rows])
         overlap.append(ov_rows)
         up.append(up_rows)
         down.append(down_rows)
-        both.append({t: slot for t, slot in cube.items() if slot})
-    return RelevantNumbers(grid, top, level, overlap, up, down, both)
+        both.append(_kernel_overlaps([(first, end, m) for first, end, m, lc, rc in bars if not (lc or rc)], n))
+    return RelevantNumbers(grid, overlap, up, down, both)
+
+
+def _kernel_overlaps(bars: list, n: int) -> dict[int, dict]:
+    """{t: {(u, d): count}}, the nonzero kernel_overlap entries of one
+    degree from its bars open at both ends, each (first, end, m): a bar
+    adds m at every t in [first, end), u >= end and d < first.  Per t,
+    the bars containing t are added in order of end, each at its first
+    index, and after the last bar of one end the suffix sums over first
+    give the row over d for every u up to the next end.  The cost is the
+    number of entries, not the volume of every bar's box."""
+    out: dict[int, dict] = {}
+    for t in range(n if bars else 0):
+        ends = sorted((end, first, m) for first, end, m in bars if first <= t < end)
+        by_first, slot = [0] * (t + 1), {}
+        for k, (end, first, m) in enumerate(ends):
+            by_first[first] += m
+            stop = ends[k + 1][0] if k + 1 < len(ends) else n
+            if stop > end:
+                past = list(accumulate(reversed(by_first)))[::-1]  # past[d]: the bars with first >= d
+                row = [(d, c) for d, c in enumerate(past[1:]) if c]
+                for u in range(end, stop):
+                    for d, c in row:
+                        slot[(u, d)] = c
+        if slot:
+            out[t] = slot
+    return out
 
 
 def _require_nonneg(value: int, what: str, *args) -> int:

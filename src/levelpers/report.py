@@ -107,7 +107,7 @@ def parse_input(text: str):
         data = json.loads(text, parse_constant=_reject_constant)
     except InputError:
         raise
-    except ValueError as exc:  # malformed JSON, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or an integer past the digit limit
         raise InputError(f"invalid JSON: {exc}") from None
     _require(isinstance(data, dict), "top-level value must be a JSON object")
 
@@ -357,10 +357,9 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             if betti_numbers(plain, top) != betti_numbers(refined, top):
                 raise AssertionError(f"refining [{a}, {b}] at {extra} changed Betti numbers")
             for t in (a, b):
+                src = builder.level(t)
                 for r in range(top + 1):
-                    m_plain = _induced_rank(f, t, a, b, plain, builder, r)
-                    m_ref = _induced_rank(f, t, a, b, refined, builder, r)
-                    if m_plain != m_ref:
+                    if _induced_rank(src, plain, r) != _induced_rank(src, refined, r):
                         raise AssertionError(f"refining [{a}, {b}] changed an induced rank at level {t}")
         return f"{len(sampled)} spans"
 
@@ -376,7 +375,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             raise AssertionError(f"band route and cone reduction disagree at {first_difference(bc, cone)}")
 
     def numbers_round_trip():
-        back = numbers_from_barcode(bc, grid, nums.max_degree)
+        back = numbers_from_barcode(bc, nums.max_degree)
         if back != nums:
             raise AssertionError(f"numbers -> bars -> numbers is not the identity at {first_difference(back, nums)}")
 
@@ -444,9 +443,8 @@ def _between(lo: float, hi: float, u: float) -> float:
     return (lo * h + (hi * h - lo * h) * u) / h
 
 
-def _induced_rank(f, t, a, b, band, builder, r):
-    src = builder.level(t)
-    inc = include_level(f, t, a, b, src=src, dst=band)
+def _induced_rank(src, band, r):
+    inc = include_level(src, band)
     return rank(induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r)))
 
 
@@ -479,7 +477,7 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
     full = level_barcode(f, grid)
     bc = LevelBarcode(grid, {bar: m for bar, m in full.counts.items() if bar.degree <= top})
     stage("level route: %d bars", sum(bc.counts.values()))
-    nums = numbers_from_barcode(bc, grid, top)
+    nums = numbers_from_barcode(bc, top)
     stage("numbers: degrees 0..%d over %d critical values", top, len(grid.criticals))
     for route in (barcode_from_overlaps, barcode_from_kernels):
         other = route(nums)

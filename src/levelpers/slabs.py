@@ -17,12 +17,15 @@ gap by construction.  Boundaries are assembled as deduplicated sets of
 canonical cells, then filtered to codimension one; every constructed
 complex asserts that the boundary squares to zero.
 
-A SlabBuilder memoizes the slice and slab cells of each value and gap
-and the level and plain interlevel complexes it has built, and each
-complex caches its homology presentations, so one builder shared by all
-the computations on one map builds, validates and reduces each complex
-once.  A Cell is a named tuple, so hashing it runs in C; as a tuple it
-also equals the plain (carrier, lo, hi) tuple with the same fields.
+SlabBuilder(f).level(t) and .interlevel(a, b) build every complex.  A
+builder memoizes the slice and slab cells of each value and gap and the
+level and plain interlevel complexes it has built, and each complex
+caches its homology presentations, so one builder shared by all the
+computations on one map builds, validates and reduces each complex
+once.  include_level reads the level value and the interval off the two
+complexes it is given.  A Cell is a named tuple, so hashing it runs in
+C; as a tuple it also equals the plain (carrier, lo, hi) tuple with the
+same fields.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ __all__ = [
     "CellComplex",
     "InclusionMap",
     "SlabBuilder",
-    "level_complex",
-    "interlevel_complex",
     "include_level",
     "homology_of",
     "betti_numbers",
@@ -275,20 +276,6 @@ class SlabBuilder:
         return out
 
 
-def level_complex(f: VertexValuedMap, t: float) -> CellComplex:
-    """Cells of the level set at value t, with Z2 boundary."""
-    return SlabBuilder(f).level(t)
-
-
-def interlevel_complex(f: VertexValuedMap, a: float, b: float, *, extra_slices=()) -> CellComplex:
-    """Cells of the preimage of [a, b]; equal to the level complex when a == b.
-
-    extra_slices inserts additional slice values strictly inside (a, b);
-    refinement must not change any homology or induced-map rank.
-    """
-    return SlabBuilder(f).interlevel(a, b, extra_slices)
-
-
 @dataclass
 class InclusionMap:
     """A level complex included into an interlevel complex, cell by cell."""
@@ -301,21 +288,17 @@ class InclusionMap:
         return BitMatrix.from_bits(columns, len(self.dst.cells_of_dim(r)))
 
 
-def include_level(f: VertexValuedMap, t: float, a: float, b: float, *,
-                  src: CellComplex | None = None, dst: CellComplex | None = None) -> InclusionMap:
-    """Inclusion of the level at t into the interlevel over [a, b].
+def include_level(src: CellComplex, dst: CellComplex) -> InclusionMap:
+    """Inclusion of a level complex into an interlevel complex of one map.
 
-    t must be an endpoint of the interval.  Every level cell is verified
-    to be present in the interlevel with an identical boundary, so the
+    The level's one slice value must be the first or the last slice
+    value of dst, an endpoint of its interval.  Every level cell is
+    verified to be present in dst with an identical boundary, so the
     identity on cell ids commutes with the boundary maps.
     """
-    t, a, b = float(t), float(a), float(b)
-    if t != a and t != b:
+    (t,) = src.slice_values
+    if t != dst.slice_values[0] and t != dst.slice_values[-1]:
         raise ValueError("level value must be an endpoint of the interval")
-    if src is None:
-        src = level_complex(f, t)
-    if dst is None:
-        dst = interlevel_complex(f, a, b)
     for cell in src.cells:
         if cell not in dst.dims:
             raise ValueError(f"level cell {cell} is missing from the interlevel complex")

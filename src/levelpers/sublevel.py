@@ -130,8 +130,8 @@ class BettiTable:
     beta: dict[tuple[int, float, float], int]
 
     @classmethod
-    def from_barcode(cls, bc: SublevelBarcode, degrees=None) -> "BettiTable":
-        degs = tuple(degrees) if degrees is not None else tuple(bc.degrees())
+    def from_barcode(cls, bc: SublevelBarcode) -> "BettiTable":
+        degs = tuple(bc.degrees())
         T = bc.grid.criticals
         beta: dict[tuple[int, float, float], int] = {}
         for r in degs:

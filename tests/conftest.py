@@ -134,7 +134,7 @@ def bumped(nums: RelevantNumbers, name: str, key: tuple, delta: int) -> Relevant
     out = copy.deepcopy(nums)
     r, (i, *rest) = key[0], [nums.grid.position(x) for x in key[1:]]
     if name == "level_rank":
-        out._level[r][i] += delta
+        out._overlap[r][i][0] += delta
     elif name in ("image_overlap", "up_kernel"):
         (out._overlap if name == "image_overlap" else out._up)[r][i][rest[0] - i] += delta
     elif name == "down_kernel":

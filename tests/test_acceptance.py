@@ -146,7 +146,7 @@ def test_criterion_3_conversion_consistency():
     for name, (f, nums, bc, bc_k, _, _) in results.items():
         if bc != bc_k:
             bad.append(f"{name}: routes disagree")
-        if numbers_from_barcode(bc, nums.grid, nums.max_degree) != nums:
+        if numbers_from_barcode(bc, nums.max_degree) != nums:
             bad.append(f"{name}: numbers round trip")
     report("criterion 3 (conversion consistency)", not bad, "; ".join(bad))
 
@@ -197,7 +197,7 @@ def test_criterion_5_structural_invariants():
                     for r in range(f.complex.dim + 1):
                         ranks = []
                         for band in (plain, refined):
-                            inc = include_level(f, t, a, b, src=src, dst=band)
+                            inc = include_level(src, band)
                             ranks.append(rank(induced_map(
                                 homology_of(src, r), homology_of(band, r), inc.chain_matrix(r))))
                         assert ranks[0] == ranks[1], "refinement changed an induced rank"

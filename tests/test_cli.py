@@ -20,7 +20,7 @@ from levelpers.report import (
     svg_text,
 )
 from levelpers import Filtration, VertexValuedMap
-from conftest import make_octahedron, make_square_circle
+from conftest import FIXTURE_MAKERS, make_octahedron, make_square_circle
 
 CIRCLE_DOC = json.dumps({
     "vertices": [
@@ -227,6 +227,18 @@ def test_huge_integer_literal_is_an_input_error(text, message, tmp_path, capsys)
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "error: cannot read input: 'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "error: invalid JSON: maximum recursion depth exceeded"),
+], ids=["not-utf-8", "nested-too-deep"])
+def test_unreadable_input_is_one_line(data, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert main(["analyze", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
 def edge_path(tmp_path, values) -> Path:
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
@@ -357,6 +369,42 @@ def test_cli_sublevel_level_numbers_subcommands(circle_path, capsys):
     assert main(["numbers", "--input", str(circle_path), "--format", "csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert {"degree", "table", "t", "u", "d", "count"} == set(rows[0])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--seed", "1"), ("sublevel", "--seed", "1"), ("level", "--seed", "1"), ("numbers", "--seed", "1"),
+    ("svg", "--seed", "1"), ("check", "--format", "csv"), ("svg", "--format", "csv"), ("sublevel", "--max-degree", "0"),
+])
+def test_cli_refuses_an_option_its_subcommand_does_not_read(command, flag, value, circle_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(circle_path), flag, value])
+    assert exc.value.code == 1
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
+def test_each_subcommand_writes_its_section_of_analyze(name, tmp_path, capsys):
+    f = FIXTURE_MAKERS[name]()
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"vertices": [{"id": v, "value": f.values[v]} for v in f.complex.vertices],
+                                "maximal_simplices": [list(s) for s in f.complex.simplices]}))
+
+    def run(*argv):
+        assert main([*argv, "--input", str(path)]) == 0
+        return capsys.readouterr().out
+
+    for degree in ([], ["--max-degree", "0"]):
+        svg = tmp_path / "analyze.svg"
+        data = json.loads(run("analyze", "--svg", str(svg), *degree))
+        rows = run("analyze", "--format", "csv", *degree).splitlines()
+        for kind, key in (("sublevel", "sublevel_bars"), ("level", "level_bars")):
+            options = degree if kind == "level" else []  # sub-level bars do not depend on it
+            assert json.loads(run(kind, *options)) == {"criticals": data["criticals"], key: data[key]}
+            assert run(kind, "--format", "csv", *options).splitlines() == \
+                [rows[0]] + [row for row in rows[1:] if row.endswith("," + kind)]
+        assert json.loads(run("numbers", *degree)) == {"criticals": data["criticals"], "numbers": data["numbers"]}
+        assert run("numbers", "--format", "csv", *degree) == numbers_to_csv(ResultDocument(**data))
+        assert run("svg", *degree) == svg.read_text()
 
 
 def test_cli_filtration_input(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_number_rows_match_probed_tables():
     maps += [random_vertex_map(rng) for _ in range(40)]
     for k, f in enumerate(maps):
         grid = critical_values(f)
-        tables = [numbers_from_barcode(level_barcode(f, grid, top), grid, top) for top in (0, f.complex.dim, 3)]
+        tables = [numbers_from_barcode(level_barcode(f, grid, top), top) for top in (0, f.complex.dim, 3)]
         if k < len(FIXTURE_MAKERS):
             tables.append(compute_relevant_numbers(f, grid=grid))
         for nums in tables:
@@ -197,7 +197,7 @@ def test_large_inputs_are_consistent(maker):
     top = f.complex.dim
     bc = level_barcode(f, grid)
     assert bc.counts
-    nums = numbers_from_barcode(bc, grid, top)
+    nums = numbers_from_barcode(bc, top)
     assert barcode_from_overlaps(nums) == bc
     assert barcode_from_kernels(nums) == bc
     assert sublevel_from_level(bc, top) == sublevel_barcode(f, grid)
@@ -402,8 +402,8 @@ def test_check_compares_band_route_with_cone(monkeypatch, square_circle):
 
 def test_numbers_round_trip_names_the_first_differing_entry(monkeypatch, square_circle):
     real = report.numbers_from_barcode
-    monkeypatch.setattr(report, "numbers_from_barcode", lambda bc, grid, top: bumped(
-        real(bc, grid, top), "image_overlap", (0, 0.5, 1.5), 1))
+    monkeypatch.setattr(report, "numbers_from_barcode", lambda bc, top: bumped(
+        real(bc, top), "image_overlap", (0, 0.5, 1.5), 1))
     results = {c.name: c for c in report.run_checks(square_circle)}
     assert not results["numbers_round_trip"].passed
     assert results["numbers_round_trip"].detail == ("numbers -> bars -> numbers is not the identity at "

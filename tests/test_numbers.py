@@ -73,11 +73,21 @@ def grid_map(k, seed):
     return VertexValuedMap(cx, {v: float(values[i]) for i, v in enumerate(cx.vertices)})
 
 
+def grid_graph(k, seed):
+    """The k x k grid graph, edges only, with distinct vertex values: each
+    of its (k - 1)^2 independent cycles is a level bar open at both ends."""
+    edges = [[r * k + c, r * k + c + 1] for r in range(k) for c in range(k - 1)]
+    edges += [[r * k + c, (r + 1) * k + c] for r in range(k - 1) for c in range(k)]
+    values = np.random.default_rng(seed).permutation(k * k)
+    return VertexValuedMap(build_complex(edges), {v: float(values[v]) for v in range(k * k)})
+
+
 def sample_maps():
     rng = np.random.default_rng(808)
     maps = [(name, maker()) for name, maker in FIXTURE_MAKERS.items()]
     maps += [(f"random {i}", random_vertex_map(rng)) for i in range(60)]
-    return maps + [("circle 20", circle(20, 1)), ("circle 48", circle(48, 2)), ("grid 4x4", grid_map(4, 3))]
+    return maps + [("circle 20", circle(20, 1)), ("circle 48", circle(48, 2)), ("grid 4x4", grid_map(4, 3)),
+                   ("grid graph 5x5", grid_graph(5, 4))]
 
 
 def test_tables_match_the_per_bar_count():
@@ -85,7 +95,7 @@ def test_tables_match_the_per_bar_count():
         grid = critical_values(f)
         bc = level_barcode(f, grid)
         for top in (0, f.complex.dim, 3):
-            nums = numbers_from_barcode(bc, grid, top)
+            nums = numbers_from_barcode(bc, top)
             expected = counted_entries(bc, grid, top)
             for family in NUMBER_FAMILIES:
                 assert nums.entries(family) == expected[family], (name, top, family)
@@ -93,7 +103,7 @@ def test_tables_match_the_per_bar_count():
 
 def test_critical_entries_are_the_entries_at_critical_values(square_circle):
     grid = critical_values(square_circle)
-    nums = numbers_from_barcode(level_barcode(square_circle, grid), grid)
+    nums = numbers_from_barcode(level_barcode(square_circle, grid))
     for family in NUMBER_FAMILIES:
         expected = [(e[0], *(i // 2 for i in e[1:-1]), e[-1]) for e in nums.entries(family)
                     if all(i % 2 == 0 for i in e[1:-1])]
@@ -116,7 +126,7 @@ def test_no_float_is_computed_inside_a_gap(monkeypatch):
         assert all((doc.to_json(), report.result_to_csv(doc), report.numbers_to_csv(doc), report.svg_text(doc)))
         grid = critical_values(f)
         bc = level_barcode(f, grid)
-        nums = numbers_from_barcode(bc, grid)
+        nums = numbers_from_barcode(bc)
         assert barcode_from_overlaps(nums) == barcode_from_kernels(nums) == bc
         T = grid.criticals
         for name in NUMBER_FAMILIES:
@@ -246,7 +256,7 @@ def test_conversions_match_scalar_passes_on_corrupted_tables():
     raised = 0
     for f in maps:
         grid = critical_values(f)
-        nums = numbers_from_barcode(level_barcode(f, grid), grid)
+        nums = numbers_from_barcode(level_barcode(f, grid))
         for fast, scalar in ((barcode_from_overlaps, scalar_overlap_route),
                              (barcode_from_kernels, scalar_kernel_route)):
             assert outcome(fast, nums) == outcome(scalar, nums)

@@ -9,8 +9,6 @@ from levelpers import (
     homology_of,
     include_level,
     induced_map,
-    interlevel_complex,
-    level_complex,
     rank,
     validate,
     VertexValuedMap,
@@ -19,83 +17,86 @@ from conftest import random_vertex_map
 
 
 def test_circle_level_regular(square_circle):
-    lv = level_complex(square_circle, 0.5)
+    lv = SlabBuilder(square_circle).level(0.5)
     assert len(lv) == 2
     assert betti_numbers(lv, 1) == (2, 0)
 
 
 def test_circle_level_critical_degenerates_to_vertices(square_circle):
-    lv = level_complex(square_circle, 1.0)
+    lv = SlabBuilder(square_circle).level(1.0)
     assert set(lv.cells) == {Cell((1,), 1.0, 1.0), Cell((3,), 1.0, 1.0)}
 
 
 def test_octahedron_level_zero_is_equator(octahedron):
-    lv = level_complex(octahedron, 0.0)
+    lv = SlabBuilder(octahedron).level(0.0)
     assert len(lv.cells_of_dim(0)) == 4
     assert len(lv.cells_of_dim(1)) == 4
     assert betti_numbers(lv, 1) == (1, 1)
 
 
 def test_octahedron_level_half_is_circle(octahedron):
-    lv = level_complex(octahedron, 0.5)
+    lv = SlabBuilder(octahedron).level(0.5)
     assert len(lv.cells_of_dim(0)) == 4  # edge crossings
     assert len(lv.cells_of_dim(1)) == 4  # triangle slices
     assert betti_numbers(lv, 1) == (1, 1)
 
 
 def test_level_outside_range_is_empty(square_circle):
-    assert len(level_complex(square_circle, -3.0)) == 0
-    assert betti_numbers(level_complex(square_circle, 9.0), 0) == (0,)
+    assert len(SlabBuilder(square_circle).level(-3.0)) == 0
+    assert betti_numbers(SlabBuilder(square_circle).level(9.0), 0) == (0,)
 
 
 def test_interlevel_two_arcs(square_circle):
-    band = interlevel_complex(square_circle, 0.5, 1.5)
+    band = SlabBuilder(square_circle).interlevel(0.5, 1.5)
     assert betti_numbers(band, 1) == (2, 0)
     assert band.euler_characteristic() == 2
 
 
 def test_interlevel_whole_circle(square_circle):
-    band = interlevel_complex(square_circle, 0.0, 2.0)
+    band = SlabBuilder(square_circle).interlevel(0.0, 2.0)
     assert betti_numbers(band, 1) == (1, 1)
 
 
 def test_interlevel_lower_hemisphere(octahedron):
-    band = interlevel_complex(octahedron, -1.0, 0.0)
+    band = SlabBuilder(octahedron).interlevel(-1.0, 0.0)
     assert betti_numbers(band, 1) == (1, 0)
 
 
 def test_interlevel_rejects_reversed():
     f = VertexValuedMap(build_complex([[0, 1]]), {0: 0.0, 1: 1.0})
     with pytest.raises(ValueError):
-        interlevel_complex(f, 1.0, 0.0)
+        SlabBuilder(f).interlevel(1.0, 0.0)
 
 
 def test_interlevel_at_a_point_equals_level(square_circle):
     for t in (0.0, 0.5, 1.0, 2.0):
-        band = interlevel_complex(square_circle, t, t)
-        lv = level_complex(square_circle, t)
+        band = SlabBuilder(square_circle).interlevel(t, t)
+        lv = SlabBuilder(square_circle).level(t)
         assert set(band.cells) == set(lv.cells)
         assert band.boundary == lv.boundary
 
 
 def test_include_identity(square_circle):
-    inc = include_level(square_circle, 1.0, 1.0, 1.0)
+    inc = include_level(SlabBuilder(square_circle).level(1.0), SlabBuilder(square_circle).interlevel(1.0, 1.0))
     assert set(inc.src.cells) == set(inc.dst.cells)
 
 
 def test_include_rejects_interior_value(square_circle):
-    with pytest.raises(ValueError):
-        include_level(square_circle, 1.0, 0.0, 2.0)
+    builder = SlabBuilder(square_circle)
+    with pytest.raises(ValueError, match="level value must be an endpoint of the interval"):
+        include_level(builder.level(1.0), builder.interlevel(0.0, 2.0))
 
 
 def test_include_circle_bottom_wedge(square_circle):
-    inc = include_level(square_circle, 0.5, 0.0, 0.5)
+    builder = SlabBuilder(square_circle)
+    inc = include_level(builder.level(0.5), builder.interlevel(0.0, 0.5))
     m = induced_map(homology_of(inc.src, 0), homology_of(inc.dst, 0), inc.chain_matrix(0))
     assert rank(m) == 1  # the bottom wedge is connected
 
 
 def test_include_circle_two_arcs_iso(square_circle):
-    inc = include_level(square_circle, 0.5, 0.5, 1.5)
+    builder = SlabBuilder(square_circle)
+    inc = include_level(builder.level(0.5), builder.interlevel(0.5, 1.5))
     m = induced_map(homology_of(inc.src, 0), homology_of(inc.dst, 0), inc.chain_matrix(0))
     assert m.rows == 2 and m.cols == 2
     assert rank(m) == 2
@@ -103,12 +104,12 @@ def test_include_circle_two_arcs_iso(square_circle):
 
 def test_homology_of_empty():
     f = VertexValuedMap(build_complex([[0]]), {0: 0.0})
-    lv = level_complex(f, 5.0)
+    lv = SlabBuilder(f).level(5.0)
     assert all(homology_of(lv, r).betti == 0 for r in range(3))
 
 
 def test_validate_reports_corrupted_cell(octahedron):
-    band = interlevel_complex(octahedron, -1.0, 0.0)
+    band = SlabBuilder(octahedron).interlevel(-1.0, 0.0)
     victim = next(c for c in band.cells if band.dims[c] == 2)
     dropped = set(band.boundary[victim])
     dropped.pop()
@@ -118,7 +119,7 @@ def test_validate_reports_corrupted_cell(octahedron):
 
 
 def test_boundary_of_slab_triangle(octahedron):
-    band = interlevel_complex(octahedron, -1.0, 0.0)
+    band = SlabBuilder(octahedron).interlevel(-1.0, 0.0)
     slab = Cell((0, 2, 3), -1.0, 0.0)
     assert band.dims[slab] == 2
     assert band.boundary[slab] == {
@@ -141,7 +142,7 @@ def test_random_suite_structural_invariants():
             validate(c)
             betti = betti_numbers(c)
             assert sum((-1) ** r * x for r, x in enumerate(betti)) == c.euler_characteristic()
-        point_band = interlevel_complex(f, a, a)
+        point_band = SlabBuilder(f).interlevel(a, a)
         assert set(point_band.cells) == set(builder.level(a).cells)
 
 
@@ -179,7 +180,7 @@ def test_refinement_independence():
             for r in range(top + 1):
                 ranks = []
                 for band in (plain, refined):
-                    inc = include_level(f, t, lo, hi, src=src, dst=band)
+                    inc = include_level(src, band)
                     m = induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r))
                     ranks.append(rank(m))
                 assert ranks[0] == ranks[1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Simplex = tuple[int, ...]
 
@@ -179,7 +179,7 @@ class Filtration:
     """Nested stages K_0 <= K_1 <= ... with strictly increasing times."""
 
     stages: list[SimplicialComplex]
-    times: list[float] = field(default_factory=list)
+    times: list[float]
 
     def __post_init__(self) -> None:
         if not self.stages:

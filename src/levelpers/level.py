@@ -20,6 +20,9 @@ degree, indexed over the grid of critical and regular values:
 These determine, and are determined by, the counts of the four kinds of
 level bars (closed/open at each end); both conversion directions are
 implemented, together with the export of level bars to sub-level bars.
+Two routes turn numbers into bars: barcode_from_overlaps reads the
+image_overlap table alone; barcode_from_kernels reads the three kernel
+tables and image_overlap at pairs of critical values.
 Each number counts bars: a bar adds its multiplicity to every entry
 whose condition it meets, so each table is a count of bars whose ends
 lie in a range, the rank function read as a count of diagram points
@@ -110,10 +113,6 @@ class LevelBarcode:
             cleaned[bar] = int(mult)
         self.counts = cleaned
 
-    def bars(self, degree: int | None = None) -> list[tuple[LevelBar, int]]:
-        items = [(b, m) for b, m in self.counts.items() if degree is None or b.degree == degree]
-        return sorted(items)
-
     def max_degree(self) -> int:
         return max((b.degree for b in self.counts), default=-1)
 
@@ -123,7 +122,7 @@ class LevelBarcode:
         return self.grid.criticals == other.grid.criticals and self.counts == other.counts
 
     def __repr__(self) -> str:
-        parts = [f"{b}x{m}" for b, m in self.bars()]
+        parts = [f"{b}x{m}" for b, m in sorted(self.counts.items())]
         return f"LevelBarcode({'; '.join(parts)})"
 
 
@@ -554,13 +553,17 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
 
 
 def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
-    """Level bar counts from level ranks, kernels and kernel overlaps.
+    """Level bar counts from the kernel tables and the image overlaps
+    at pairs of critical values.
 
     Open-open counts come from kernel-overlap differences probed at the
     regular value just above the left endpoint.  The other three kinds
     are recovered through the auxiliary counts of bars meeting one level
     with a prescribed end at another, with out-of-range indices
-    contributing zero.  The tables are read by grid index (T[k] at 2k),
+    contributing zero: left-open counts from down_kernel, right-open
+    counts from up_kernel, and left-closed counts from image_overlap at
+    pairs of critical values (its diagonal is the level rank) less the
+    left-open counts.  The tables are read by grid index (T[k] at 2k),
     one row per left end, and every count is checked in the order of a
     scalar pass: open-open by (k, j); open-closed by k, then j
     downwards; closed-open by j, then k; closed-closed by k, then j

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .complexes import Filtration, VertexValuedMap, build_complex, critical_values, telescope
 from .gf2 import induced_map, rank
@@ -92,7 +92,7 @@ def _parse_simplex_list(raw, known_ids, where: str):
         for v in simplex:
             if not (isinstance(v, int) and not isinstance(v, bool)):
                 raise InputError(f"{where}[{k}]: vertex ids must be integers")
-            if v not in known_ids:
+            if known_ids is not None and v not in known_ids:
                 raise InputError(f"{where}[{k}]: unknown vertex id {v}")
             if v in seen:
                 raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
@@ -122,14 +122,8 @@ def parse_input(text: str):
         _require(len(times) == len(stages_raw),
                  f"filtration: {len(stages_raw)} stages but {len(times)} times")
         times = [_parse_value(t, f"filtration.times[{i}]") for i, t in enumerate(times)]
-        stages = []
-        for i, stage in enumerate(stages_raw):
-            if not isinstance(stage, list):
-                raise InputError(f"filtration.stages[{i}]: expected a list")
-            try:
-                stages.append(build_complex(stage))
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"filtration.stages[{i}]: {exc}") from None
+        stages = [build_complex(_parse_simplex_list(stage, None, f"filtration.stages[{i}]"))
+                  for i, stage in enumerate(stages_raw)]
         try:
             return Filtration(stages, times)
         except ValueError as exc:
@@ -296,11 +290,13 @@ class CheckResult:
 
 
 def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run the named executable invariants on one map.
-
-    Randomized probes (extra regular values, refinement slices) are
-    drawn from the given seed.
+    """Run the named executable invariants on one map, independently of
+    analyze.  Degrees stop at min(max_degree, dim), as in analyze, and an
+    empty complex has nothing to check.  Randomized probes (extra regular
+    values, refinement slices) are drawn from the given seed.
     """
+    if not f.complex.simplices:
+        return []
     import numpy as np  # here, not at module level, so importing levelpers does not load numpy
 
     rng = np.random.default_rng(seed)
@@ -314,8 +310,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             results.append(CheckResult(name, False, str(exc)))
 
     grid = critical_values(f)
-    top = f.complex.dim if max_degree is None else max_degree
-    top = max(top, 0)
+    top = min(max(f.complex.dim if max_degree is None else max_degree, 0), f.complex.dim)
     builder = SlabBuilder(f)
     pts = [grid.value(i) for i in range(2 * len(grid.criticals) - 1)]
     complexes = [builder.level(x) for x in pts]
@@ -448,23 +443,20 @@ def _induced_rank(src, band, r):
     return rank(induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r)))
 
 
-def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = False,
-            seed: int = 0) -> ResultDocument:
+def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     """Full pipeline: level bars from the extended-persistence reduction
     of the cone, relevant-number tables counted from them, both
-    conversion routes back to bars (which must reproduce them), sub-level
-    bars read off the same bars, and optionally the named invariant
-    checks, which recompute everything through the independent band route.
-    The cone is reduced once at every degree, since sub-level degree d
-    needs level degrees d - 1 and d; the level bars and the numbers stop
-    at min(max_degree, dim).
+    conversion routes back to bars (which must reproduce them), and
+    sub-level bars read off the same bars.  The cone is reduced once at
+    every degree, since sub-level degree d needs level degrees d - 1 and
+    d; the level bars and the numbers stop at min(max_degree, dim).  The
+    document's checks stay None: run_checks runs them on its own.
 
     Stage boundaries are logged at DEBUG level on the "levelpers" logger.
     """
     f = input_to_map(parsed)
     if not f.complex.simplices:
-        return ResultDocument([], 0, [], [], {name: [] for name in _NUMBER_ARGS},
-                              checks=[] if include_checks else None)
+        return ResultDocument([], 0, [], [], {name: [] for name in _NUMBER_ARGS})
     start = time.perf_counter()
 
     def stage(message: str, *args) -> None:
@@ -487,17 +479,12 @@ def analyze(parsed, *, max_degree: int | None = None, include_checks: bool = Fal
     stage("conversions: both routes reproduce %d bars", sum(bc.counts.values()))
     sb = sublevel_from_level(full)
     stage("sub-level: %d bars", sum(sb.bars.values()))
-    checks = None
-    if include_checks:
-        checks = [asdict(c) for c in run_checks(f, max_degree=top, seed=seed)]
-        stage("checks: %d run", len(checks))
     return ResultDocument(
         criticals=[fmt_value(t) for t in grid.criticals],
         max_degree=requested,
         sublevel_bars=_sublevel_rows(sb),
         level_bars=_level_rows(bc),
         numbers=_number_rows(nums, grid),
-        checks=checks,
     )
 
 

@@ -254,10 +254,6 @@ class SlabBuilder:
         key = (a, b)
         if not extra and key in self._interlevels:
             return self._interlevels[key]
-        if a == b and not extra:
-            out = self.level(a)
-            self._interlevels[key] = out
-            return out
         inside = self._values[bisect.bisect_right(self._values, a):bisect.bisect_left(self._values, b)]
         slices = sorted({a, b} | set(inside) | set(extra))
         dims: dict[Cell, int] = {}

@@ -47,6 +47,8 @@ def test_traced_check_feeds_the_band_route_counts(monkeypatch, tmp_path):
     metrics = tracing.per_job(tracer.spans, tracer.counts)[0]
     for metric in ("level.grid_points", "level.bands", "slabs.complexes"):
         assert metrics[metric] > 0, metric
+    names = {span[0] for span in tracer.spans}
+    assert "report.checks" in names and "report.analyze" not in names
 
 
 def test_check_small_ladder_reports_no_problem(monkeypatch, tmp_path):

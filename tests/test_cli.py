@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from levelpers.report import (
     parse_input,
     render_svg,
     result_to_csv,
+    run_checks,
     svg_text,
 )
 from levelpers import Filtration, VertexValuedMap
@@ -106,18 +108,22 @@ def test_signed_zeros_print_as_one_zero():
 
 
 def test_analyze_empty_complex():
-    doc = analyze(parse_input('{"vertices": [], "maximal_simplices": []}'), include_checks=True)
+    f = parse_input('{"vertices": [], "maximal_simplices": []}')
+    doc = analyze(f)
     assert doc.criticals == [] and doc.level_bars == [] and doc.sublevel_bars == []
-    assert doc.checks == []
+    assert doc.checks is None and run_checks(f) == []
 
 
-@pytest.mark.parametrize("include_checks", [False, True])
-def test_max_degree_above_the_dimension_changes_only_its_field(include_checks):
+@pytest.mark.parametrize("checks", [False, True])
+def test_max_degree_above_the_dimension_changes_only_its_field(checks):
     # no degree above the complex dimension has a bar or a nonzero number,
     # so the computation stops there and only the reported field differs
     for f in (make_square_circle(), make_octahedron()):
-        high = analyze(f, max_degree=10**4, include_checks=include_checks)
-        low = analyze(f, max_degree=f.complex.dim, include_checks=include_checks)
+        if checks:
+            assert run_checks(f, max_degree=10**4) == run_checks(f, max_degree=f.complex.dim)
+            continue
+        high = analyze(f, max_degree=10**4)
+        low = analyze(f, max_degree=f.complex.dim)
         assert high.max_degree == 10**4
         high.max_degree = low.max_degree
         assert high.to_json() == low.to_json()
@@ -139,9 +145,10 @@ def test_routes_run_without_numpy():
         sys.modules["numpy"] = None
         from levelpers import (BitMatrix, build_complex, column_reduce, compute_relevant_numbers,
                                homology_presentation, induced_map, VertexValuedMap)
-        from levelpers.report import analyze
+        from levelpers.report import analyze, run_checks
         f = VertexValuedMap(build_complex([[0, 1], [0, 3], [1, 2], [2, 3]]), {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0})
         assert len(analyze(f).level_bars) == 2
+        assert run_checks(VertexValuedMap(build_complex([]), {})) == []
         assert compute_relevant_numbers(f).level_rank(0, 0.5) == 2
         loop = homology_presentation(BitMatrix.zeros(4, 0), BitMatrix.from_bits([0b0011, 0b0110, 0b1100, 0b1001], 4))
         assert loop.betti == 1 and induced_map(loop, loop, BitMatrix.identity(4)) == BitMatrix.identity(1)
@@ -152,7 +159,8 @@ def test_routes_run_without_numpy():
 
 
 def test_result_document_json_round_trip():
-    doc = analyze(parse_input(CIRCLE_DOC), include_checks=True)
+    f = parse_input(CIRCLE_DOC)
+    doc = dataclasses.replace(analyze(f), checks=[dataclasses.asdict(c) for c in run_checks(f)])
     assert ResultDocument.from_json(doc.to_json()) == doc
 
 
@@ -297,6 +305,37 @@ def test_cli_check_passes(circle_path, capsys):
     assert main(["check", "--input", str(circle_path)]) == 0
     out = capsys.readouterr().out
     assert "10/10 checks passed" in out
+
+
+def test_check_runs_no_analysis(monkeypatch, circle_path, tmp_path, capsys):
+    import levelpers.cli as cli
+    import levelpers.report as report
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check ran analyze")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    monkeypatch.setattr(report, "analyze", refuse)
+    assert main(["check", "--input", str(circle_path)]) == 0
+    assert capsys.readouterr().out.endswith("\n10/10 checks passed\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "maximal_simplices": []}')
+    assert main(["check", "--input", str(empty)]) == 0
+    assert capsys.readouterr().out == "0/0 checks passed\n"
+
+
+@pytest.mark.parametrize("stage, message", [
+    (["12"], "expected a non-empty list of vertex ids"),
+    ([[0, "3"]], "vertex ids must be integers"),
+    ([[0, 1.7]], "vertex ids must be integers"),
+    ([[0, True]], "vertex ids must be integers"),
+    ([[]], "expected a non-empty list of vertex ids"),
+], ids=["string-simplex", "string-id", "float-id", "bool-id", "empty-simplex"])
+def test_cli_filtration_stages_are_checked_like_maximal_simplices(stage, message, tmp_path, capsys):
+    path = tmp_path / "filtration.json"
+    path.write_text(json.dumps({"filtration": {"times": [0], "stages": [stage]}}))
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: filtration.stages[0][0]: {message}\n"
 
 
 def test_cli_malformed_input(tmp_path, capsys):

@@ -2,6 +2,7 @@
 conversions against scalar passes over the accessors, and the JSON
 emitter against json.dumps."""
 
+import dataclasses
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -15,6 +16,7 @@ from levelpers import (
     CriticalGrid,
     LevelBar,
     LevelBarcode,
+    RelevantNumbers,
     VertexValuedMap,
     build_complex,
     barcode_from_kernels,
@@ -268,6 +270,22 @@ def test_conversions_match_scalar_passes_on_corrupted_tables():
     assert raised > 400
 
 
+def test_each_conversion_reads_only_its_tables():
+    # barcode_from_kernels reads image_overlap only at pairs of critical
+    # values; barcode_from_overlaps reads no kernel table
+    for name, f in sample_maps():
+        grid = critical_values(f)
+        for top in (0, f.complex.dim):
+            nums = numbers_from_barcode(level_barcode(f, grid), top)
+            at_criticals = [[[m if i % 2 == o % 2 == 0 else 0 for o, m in enumerate(row)]
+                             for i, row in enumerate(rows)] for rows in nums._overlap]
+            up, down = ([[[0] * len(row) for row in rows] for rows in table] for table in (nums._up, nums._down))
+            kernels = RelevantNumbers(grid, at_criticals, nums._up, nums._down, nums._both)
+            overlaps = RelevantNumbers(grid, nums._overlap, up, down, [{} for _ in nums._both])
+            assert barcode_from_kernels(kernels) == barcode_from_kernels(nums), (name, top)
+            assert barcode_from_overlaps(overlaps) == barcode_from_overlaps(nums), (name, top)
+
+
 # --- the JSON emitter --------------------------------------------------------
 
 def cli_documents(doc):
@@ -282,10 +300,13 @@ def test_emitter_equals_json_dumps():
     docs = []
     for f in [maker() for maker in FIXTURE_MAKERS.values()] + [circle(20, 4), grid_map(4, 5)]:
         docs += cli_documents(report.analyze(f))
-    docs += cli_documents(report.analyze(FIXTURE_MAKERS["circle"](), include_checks=True))
-    docs += cli_documents(report.analyze(report.parse_input('{"vertices": [], "maximal_simplices": []}'),
-                                         include_checks=True))
-    failing = report.analyze(FIXTURE_MAKERS["edge"](), include_checks=True)
+
+    def with_checks(f):
+        return dataclasses.replace(report.analyze(f), checks=[dataclasses.asdict(c) for c in report.run_checks(f)])
+
+    docs += cli_documents(with_checks(FIXTURE_MAKERS["circle"]()))
+    docs += cli_documents(with_checks(report.parse_input('{"vertices": [], "maximal_simplices": []}')))
+    failing = with_checks(FIXTURE_MAKERS["edge"]())
     failing.checks[0] = {"name": "bridge_identity", "passed": False,
                          "detail": 'bars differ at "H0 [0.0, 1.0]" \\ naïve – 数'}
     docs += cli_documents(failing)

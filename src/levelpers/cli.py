@@ -87,6 +87,8 @@ def main(argv=None) -> int:
         if args.command == "check":  # looked up on the module, so a wrapper set there is the one called
             results = report.run_checks(report.input_to_map(parsed), max_degree=args.max_degree,
                                         seed=args.seed)
+        elif args.command == "sublevel":  # one lower-star reduction: no cone, numbers or conversions
+            doc = report.analyze_sublevel(parsed)
         else:
             doc = analyze(parsed, max_degree=args.max_degree)
     except ValueError as exc:  # InputError included; a RuntimeError stays a traceback
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
                 _emit(json_text({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars}),
                       args.output)
             else:
-                _emit(result_to_csv(dataclasses.replace(doc, level_bars=[])), args.output)
+                _emit(result_to_csv(doc), args.output)
         elif args.command == "level":
             if args.format == "json":
                 _emit(json_text({"criticals": doc.criticals, "level_bars": doc.level_bars}),

@@ -61,7 +61,7 @@ def build_complex(maximal_simplices) -> SimplicialComplex:
     simplices: set[Simplex] = set()
     vertices: set[int] = set()
     for raw in maximal_simplices:
-        vs = tuple(int(v) for v in raw)
+        vs = tuple(map(int, raw))
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate vertex in simplex {list(raw)}")
         vs = tuple(sorted(vs))
@@ -169,8 +169,11 @@ def lower_star_filtration(f: VertexValuedMap) -> list[tuple[Simplex, float]]:
     Every face precedes its cofaces, so the order is a valid filtration
     order for column reduction.
     """
-    entries = [(s, f.max_on(s)) for s in f.complex.simplices]
-    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
+    value = f.values.__getitem__
+    entries = [(max(map(value, s)), len(s), s) for s in f.complex.simplices]
+    entries.sort()
+    for i, (x, _, s) in enumerate(entries):  # in place, so the keyed and the returned list never coexist
+        entries[i] = (s, x)
     return entries
 
 
@@ -202,23 +205,34 @@ def telescope(filt: Filtration) -> VertexValuedMap:
     Each stage contributes a triangulated prism between consecutive
     times: the prism over a d-simplex is split into d+1 simplices by the
     standard staircase along the vertex order.  Copies of vertex v at
-    stage i carry the value times[i].
+    stage i carry the value times[i], and every copy at stage i has a
+    smaller id than every copy at stage i + 1.  The simplices are
+    enumerated directly, each once, instead of closing the prisms: for
+    every simplex (u_0 < ... < u_m) of stage i below the last, its
+    bottom copy b(u_0..u_m), and for each split p the shared split
+    b(u_0..u_p) + t(u_p..u_m) and, for p < m, the disjoint split
+    b(u_0..u_p) + t(u_(p+1)..u_m), where b and t are the copies at
+    stages i and i + 1; then the last stage's simplices as they are.
+    These are exactly the faces of the prisms, since every stage is
+    closed under faces and contained in the next one.
     """
-    last = len(filt.stages) - 1
-    pairs = sorted({(i, v) for i, stage in enumerate(filt.stages) for v in stage.vertices})
-    cid = {pair: n for n, pair in enumerate(pairs)}
+    ids: list[dict[int, int]] = []  # per stage, vertex -> id of its copy
+    values: dict[int, float] = {}
+    for stage, at in zip(filt.stages, filt.times):
+        copy = {v: n for n, v in enumerate(sorted(stage.vertices), len(values))}
+        ids.append(copy)
+        values.update(dict.fromkeys(copy.values(), at))
 
+    last = len(filt.stages) - 1
     simplices: list[Simplex] = []
     for i in range(last):
+        bottom, top = ids[i].__getitem__, ids[i + 1].__getitem__
         for s in filt.stages[i].simplices:
-            bottoms = [cid[(i, v)] for v in s]
-            tops = [cid[(i + 1, v)] for v in s]
-            for k in range(len(s)):
-                simplices.append(tuple(bottoms[: k + 1] + tops[k:]))
-    for s in filt.stages[last].simplices:
-        simplices.append(tuple(cid[(last, v)] for v in s))
-
-    cx = build_complex(simplices)
-    present = set(cx.vertices)
-    values = {cid[(i, v)]: filt.times[i] for (i, v) in pairs if cid[(i, v)] in present}
-    return VertexValuedMap(cx, values)
+            b, t = tuple(map(bottom, s)), tuple(map(top, s))
+            simplices.append(b)
+            for q in range(1, len(s)):  # the shared and the disjoint split after q bottom vertices
+                simplices += (b[:q] + t[q - 1:], b[:q] + t[q:])
+            simplices.append(b + t[-1:])  # the shared split at u_m; no disjoint one there
+    top = ids[last].__getitem__
+    simplices += [tuple(map(top, s)) for s in filt.stages[last].simplices]
+    return VertexValuedMap(SimplicialComplex(tuple(values), frozenset(simplices)), values)

@@ -3,14 +3,17 @@
 A matrix is stored as bit columns: bit i of a column, a Python int, is
 the entry in row i, so a column costs one bit per row up to its highest
 entry and no rows x cols array is ever built.  Every operation runs on
-one elimination primitive: columns are reduced left to right against a
-pivot table keyed by the lowest entry (highest row index) of each
-reduced column, optionally tracking which input columns were combined.
+one elimination primitive: a column is reduced against a pivot table
+keyed by the lowest entry (highest row index) of each reduced column,
+optionally tracking which input columns were combined.
 Rank, kernel, image, subspace intersections, homology presentations
 (cycles mod boundaries, from one elimination of the outgoing boundary
 and one pass over boundaries then cycles), induced maps and the
-classical persistence pairing (column_reduce) are all read off that one
-reduction.
+persistence pairing (column_reduce) are all read off that one
+reduction.  column_reduce visits the columns of a graded filtered
+boundary matrix by decreasing dimension and skips every column that a
+reduced column one dimension up already pairs (clearing), so the
+columns that would only be reduced to zero cost no additions.
 """
 
 from __future__ import annotations
@@ -253,26 +256,62 @@ def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
 
 
 def column_reduce(ordered_boundary: BitMatrix):
-    """Classical left-to-right column reduction of a filtered boundary matrix.
+    """Persistence pairing of a filtered boundary matrix, with clearing.
 
     Columns must be ordered by a filtration: every nonzero row index of
-    column j has to precede j.  Returns (pairs, essential) where pairs is
-    a list of (birth_index, death_index) and essential lists the unpaired
-    positive column indices.
+    column j has to precede j.  The matrix must be graded: a column's
+    dimension is 0 if it is empty and otherwise one more than that of
+    its lowest entry, and all its entries share one dimension.  Columns
+    are reduced by decreasing dimension, each against the pivot table
+    of its own dimension; a column that is the lowest entry of a
+    reduced column one dimension up is skipped, since it reduces to
+    zero (clearing; Chen and Kerber 2011, Bauer, Kerber and Reininghaus
+    2014).  The pairing is the one of the left-to-right reduction.
+    Returns (pairs, essential) where pairs is a list of (birth_index,
+    death_index) ordered by death index and essential lists the
+    unpaired positive column indices in ascending order.
     """
     if ordered_boundary.rows != ordered_boundary.cols:
         raise ValueError("filtered boundary matrix must be square")
     columns = ordered_boundary.columns
+    dims: list[int] = []
+    by_dim: list[list[int]] = []  # column indices of each dimension, ascending
     for j, b in enumerate(columns):
-        if b >> j:
-            raise ValueError(f"column {j} violates the filtration order (entry at row {b.bit_length() - 1})")
+        low = b.bit_length() - 1
+        if low >= j:
+            raise ValueError(f"column {j} violates the filtration order (entry at row {low})")
+        d = dims[low] + 1 if b else 0
+        dims.append(d)
+        if d == len(by_dim):
+            by_dim.append([])
+        by_dim[d].append(j)
     pairs: list[tuple[int, int]] = []
-    positive: list[int] = []
-    for j, (b, _) in enumerate(_eliminate(columns)[1]):
-        if b:
-            pairs.append((b.bit_length() - 1, j))
-        else:
-            positive.append(j)
-    births = {i for i, _ in pairs}
-    essential = [j for j in positive if j not in births]
+    essential: list[int] = []
+    above: dict = {}  # pivot table one dimension up: its keys are the cleared columns
+    for d in range(len(by_dim) - 1, 0, -1):
+        digits = bytearray(b"0") * len(columns)  # the rows of dimension d - 1, as binary digits
+        for i in by_dim[d - 1]:
+            digits[i] = 49  # "1"
+        mask = int(digits[::-1], 2)
+        pivots: dict[int, tuple[int, int]] = {}
+        for j in by_dim[d]:
+            b = columns[j]
+            if b & mask != b:
+                row = (b & ~mask).bit_length() - 1
+                raise ValueError(f"column {j} is not graded: entry at row {row} has dimension "
+                                 f"{dims[row]}, its lowest entry has dimension {d - 1}")
+            if j in above:
+                continue
+            b, _ = _reduce(b, pivots)
+            if b:
+                low = b.bit_length() - 1
+                pivots[low] = (b, 0)
+                pairs.append((low, j))
+            else:
+                essential.append(j)
+        above = pivots
+    if by_dim:
+        essential += [j for j in by_dim[0] if j not in above]
+    pairs.sort(key=lambda p: p[1])
+    essential.sort()
     return pairs, essential

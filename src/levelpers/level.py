@@ -181,8 +181,11 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
     top = f.complex.dim if max_degree is None else max_degree
     top = max(top, 0)
     lower, index, boundary = lower_star_boundary(f)
-    upper = sorted(((s, f.min_on(s)) for s in f.complex.simplices),
-                   key=lambda e: (-e[1], len(e[0]), e[0]))
+    value = f.values.__getitem__
+    upper = [(-min(map(value, s)), len(s), s) for s in f.complex.simplices]
+    upper.sort()
+    for i, (x, _, s) in enumerate(upper):  # in place, as in lower_star_filtration
+        upper[i] = (s, -x)
     n = len(lower)
     cone_row = {s: 1 + n + i for i, (s, _) in enumerate(upper)}
     columns = [0] + [bits << 1 for bits in boundary]  # row 0 is the cone point

@@ -41,6 +41,7 @@ __all__ = [
     "parse_input",
     "input_to_map",
     "analyze",
+    "analyze_sublevel",
     "run_checks",
     "render_svg",
     "svg_text",
@@ -486,6 +487,18 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
         level_bars=_level_rows(bc),
         numbers=_number_rows(nums, grid),
     )
+
+
+def analyze_sublevel(parsed) -> ResultDocument:
+    """The sub-level bars alone, from the one column reduction of the
+    lower-star filtration (sublevel_barcode); the document has no level
+    bars, no numbers and max_degree 0.  analyze reads the same bars off
+    the cone."""
+    f = input_to_map(parsed)
+    if not f.complex.simplices:
+        return ResultDocument([], 0, [], [], {})
+    sb = sublevel_barcode(f)
+    return ResultDocument([fmt_value(t) for t in sb.grid.criticals], 0, _sublevel_rows(sb), [], {})
 
 
 def result_to_csv(doc: ResultDocument) -> str:

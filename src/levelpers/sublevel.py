@@ -1,6 +1,6 @@
 """Sub-level persistence of a PL vertex map.
 
-Bars come from the classical column reduction of the lower-star
+Bars come from the column reduction, with clearing, of the lower-star
 filtration boundary matrix; Betti numbers of the persistence module are
 counted from bars by interval containment, and bar multiplicities are
 recovered from the Betti numbers by one inclusion-exclusion over
@@ -70,12 +70,18 @@ def lower_star_boundary(f: VertexValuedMap):
     order = lower_star_filtration(f)
     index = {s: i for i, (s, _) in enumerate(order)}
     columns = []
-    for simplex, _ in order:
-        bits = 0
-        if len(simplex) > 1:
-            for i in range(len(simplex)):
-                bits |= 1 << index[simplex[:i] + simplex[i + 1:]]
-        columns.append(bits)
+    for s, _ in order:  # edges and triangles, the bulk of a surface, without a loop over faces
+        if len(s) == 2:
+            columns.append(1 << index[s[:1]] | 1 << index[s[1:]])
+        elif len(s) == 3:
+            columns.append(1 << index[s[1:]] | 1 << index[s[::2]] | 1 << index[s[:2]])
+        elif len(s) == 1:
+            columns.append(0)
+        else:
+            bits = 0
+            for i in range(len(s)):
+                bits |= 1 << index[s[:i] + s[i + 1:]]
+            columns.append(bits)
     return order, index, columns
 
 

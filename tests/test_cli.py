@@ -14,6 +14,7 @@ from levelpers.report import (
     InputError,
     ResultDocument,
     analyze,
+    json_text,
     numbers_to_csv,
     parse_input,
     render_svg,
@@ -322,6 +323,34 @@ def test_check_runs_no_analysis(monkeypatch, circle_path, tmp_path, capsys):
     empty.write_text('{"vertices": [], "maximal_simplices": []}')
     assert main(["check", "--input", str(empty)]) == 0
     assert capsys.readouterr().out == "0/0 checks passed\n"
+
+
+def test_sublevel_runs_no_cone(monkeypatch, circle_path, tmp_path, capsys):
+    import levelpers.cli as cli
+    import levelpers.level as level
+    import levelpers.report as report
+
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "maximal_simplices": []}')
+    filtration = tmp_path / "filtration.json"
+    filtration.write_text(FILTRATION_DOC)
+    runs, expected = [], []
+    for path in (circle_path, empty, filtration):  # the sub-level sections of analyze
+        doc = analyze(parse_input(path.read_text()))
+        runs += [["sublevel", "--input", str(path), "--format", fmt] for fmt in ("json", "csv")]
+        expected += [json_text({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars}) + "\n",
+                     result_to_csv(dataclasses.replace(doc, level_bars=[]))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sublevel ran the cone or the number tables")
+
+    for module, name in ((cli, "analyze"), (report, "analyze"), (report, "level_barcode"),
+                         (level, "level_barcode"), (report, "numbers_from_barcode")):
+        monkeypatch.setattr(module, name, refuse)
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert expected[2] == '{\n  "criticals": [],\n  "sublevel_bars": []\n}\n'
 
 
 @pytest.mark.parametrize("stage, message", [

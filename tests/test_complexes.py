@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from levelpers import (
     sublevel_barcode,
     telescope,
 )
+from levelpers.report import parse_input
 from levelpers.sublevel import INF
 from conftest import make_octahedron, random_vertex_map, simplicial_betti
 
@@ -192,3 +194,57 @@ def test_telescope_retracts_to_last_stage():
         tele = telescope(filt)
         for r in range(big.dim + 1):
             assert simplicial_betti(tele.complex, r) == simplicial_betti(big, r)
+
+
+def prism_closure_telescope(filt):
+    """The telescope as the closure of every staircase prism: the
+    construction the direct enumeration replaced, kept as a reference."""
+    last = len(filt.stages) - 1
+    pairs = sorted({(i, v) for i, stage in enumerate(filt.stages) for v in stage.vertices})
+    cid = {pair: n for n, pair in enumerate(pairs)}
+    simplices = []
+    for i in range(last):
+        for s in filt.stages[i].simplices:
+            bottoms = [cid[(i, v)] for v in s]
+            tops = [cid[(i + 1, v)] for v in s]
+            for k in range(len(s)):
+                simplices.append(tuple(bottoms[: k + 1] + tops[k:]))
+    for s in filt.stages[last].simplices:
+        simplices.append(tuple(cid[(last, v)] for v in s))
+    cx = build_complex(simplices)
+    present = set(cx.vertices)
+    values = {cid[(i, v)]: filt.times[i] for (i, v) in pairs if cid[(i, v)] in present}
+    return VertexValuedMap(cx, values)
+
+
+def assert_same_telescope(filt):
+    f, reference = telescope(filt), prism_closure_telescope(filt)
+    assert f == reference
+    assert f.complex.vertices == reference.complex.vertices
+    assert len(f.complex.simplices) == len(reference.complex.simplices)
+    # each simplex of a stage below the last gives its bottom copy and 2m + 1 splits,
+    # so a count this large means no simplex was enumerated twice
+    enumerated = sum(2 * len(s) for stage in filt.stages[:-1] for s in stage.simplices)
+    assert len(f.complex.simplices) == enumerated + len(filt.stages[-1].simplices)
+
+
+def test_telescope_equals_the_closure_of_its_prisms():
+    rng = np.random.default_rng(2016)
+    for _ in range(200):
+        stages = int(rng.integers(2, 6))
+        maximal = [sorted(int(v) for v in rng.choice(7, size=size, replace=False))
+                   for size in (4, 3, 3, 2, 2, 1)]
+        entry = rng.integers(0, stages, size=len(maximal))
+        complexes = [build_complex([[0]] + [s for s, e in zip(maximal, entry) if e <= i])
+                     for i in range(stages)]
+        assert_same_telescope(Filtration(complexes, [float(t) for t in range(stages)]))
+
+
+def test_telescope_of_the_benchmark_grid_filtrations_equals_the_closure(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import make_jobs
+
+    grids = [job for job in make_jobs("sublevel-large", 0) if job.name.startswith("telescope-grid")]
+    assert len(grids) == 3
+    for job in grids:
+        assert_same_telescope(parse_input(job.input_text()))

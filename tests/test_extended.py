@@ -33,7 +33,7 @@ from levelpers import (
     telescope,
 )
 from levelpers.level import first_difference
-from levelpers.sublevel import INF
+from levelpers.sublevel import INF, lower_star_boundary
 from conftest import FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_vertex_map
 
 
@@ -358,6 +358,71 @@ def test_bit_column_core_matches_dense_wrapper():
 def test_bit_column_core_rejects_bad_order():
     with pytest.raises(ValueError, match="column 1 violates the filtration order"):
         column_reduce(BitMatrix.from_bits([0, 0b10], 2))
+
+
+def left_to_right_reduce(matrix):
+    """The plain reduction without clearing: every column in order,
+    against every reduced column before it."""
+    owner: dict[int, int] = {}
+    pairs, positive = [], []
+    for j, column in enumerate(matrix.columns):
+        while column and column.bit_length() - 1 in owner:
+            column ^= owner[column.bit_length() - 1]
+        if column:
+            owner[column.bit_length() - 1] = column
+            pairs.append((column.bit_length() - 1, j))
+        else:
+            positive.append(j)
+    births = {i for i, _ in pairs}
+    return pairs, [j for j in positive if j not in births]
+
+
+def lower_star_matrix(f):
+    order, _, columns = lower_star_boundary(f)
+    return BitMatrix.from_bits(columns, len(order))
+
+
+def seeded_telescopes(count, seed):
+    rng = np.random.default_rng(seed)
+    tels = []
+    for _ in range(count):
+        maximal = [sorted(int(v) for v in rng.choice(7, size=size, replace=False))
+                   for size in (4, 3, 3, 2, 2)]
+        tels.append(telescope(random_filtration(rng, maximal, int(rng.integers(2, 6)))))
+    return tels
+
+
+def test_clearing_matches_left_to_right_on_lower_star_boundaries():
+    rng = np.random.default_rng(2011)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(260)]
+    for f in maps + seeded_telescopes(40, 2014):
+        matrix = lower_star_matrix(f)
+        assert column_reduce(matrix) == left_to_right_reduce(matrix)
+
+
+def test_clearing_matches_left_to_right_on_the_cone(monkeypatch):
+    cones = []
+
+    def recording(matrix):
+        cones.append(matrix)
+        return column_reduce(matrix)
+
+    monkeypatch.setattr("levelpers.level.column_reduce", recording)
+    rng = np.random.default_rng(2012)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(60)]
+    for f in maps + seeded_telescopes(20, 2013) + seeded_grids(3, 2015):
+        level_barcode(f)
+    assert len(cones) == len(FIXTURE_MAKERS) + 83
+    for matrix in cones:
+        assert column_reduce(matrix) == left_to_right_reduce(matrix)
+
+
+def test_clearing_refuses_a_matrix_that_is_not_graded():
+    # columns 0, 1 are vertices and 2 an edge; column 3 has its lowest
+    # entry at the edge and another at vertex 0
+    with pytest.raises(ValueError) as exc:
+        column_reduce(BitMatrix.from_bits([0, 0, 0b011, 0b101], 4))
+    assert str(exc.value) == "column 3 is not graded: entry at row 0 has dimension 0, its lowest entry has dimension 1"
 
 
 # --- first difference and cross-validation -----------------------------------

@@ -94,15 +94,6 @@ class VertexValuedMap:
             if v not in known:
                 raise ValueError(f"value given for unknown vertex {v}")
 
-    def min_on(self, simplex: Simplex) -> float:
-        return min(self.values[v] for v in simplex)
-
-    def max_on(self, simplex: Simplex) -> float:
-        return max(self.values[v] for v in simplex)
-
-    def is_constant_on(self, simplex: Simplex) -> bool:
-        return self.min_on(simplex) == self.max_on(simplex)
-
 
 @dataclass(frozen=True)
 class CriticalGrid:

@@ -337,6 +337,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         for k in range(len(T) - 1):
             lo, hi = T[k], T[k + 1]
             probe = _between(lo, hi, float(rng.uniform(0.1, 0.9)))
+            if not lo < probe < hi:  # a gap a few floats wide rounds the draw onto an end
+                probe = grid.regular_above(k)
             a = betti_numbers(builder.level(grid.regular_above(k)), top)
             b = betti_numbers(builder.level(probe), top)
             if a != b:
@@ -407,6 +409,9 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             return "single critical value: nothing to add"
         k = int(rng.integers(0, len(grid.criticals) - 1))
         extra = grid.regular_above(k)
+        lo, hi = grid.criticals[k], grid.criticals[k + 1]
+        if math.nextafter(lo, hi) == extra or math.nextafter(extra, hi) == hi:
+            return f"no float lies strictly inside ({lo}, {extra}) or ({extra}, {hi}): nothing to add"
         wide = critical_values(f, extra_criticals=(extra,))
         nums2 = compute_relevant_numbers(f, top, grid=wide, builder=builder)
         bc2 = barcode_from_overlaps(nums2)
@@ -456,15 +461,15 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     Stage boundaries are logged at DEBUG level on the "levelpers" logger.
     """
     f = input_to_map(parsed)
+    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
     if not f.complex.simplices:
-        return ResultDocument([], 0, [], [], {name: [] for name in _NUMBER_ARGS})
+        return ResultDocument([], requested, [], [], {name: [] for name in _NUMBER_ARGS})
     start = time.perf_counter()
 
     def stage(message: str, *args) -> None:
         _log.debug(message + " (%.3f s)", *args, time.perf_counter() - start)
 
     grid = critical_values(f)
-    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
     top = min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
     stage("grid: %d simplices, %d critical values", len(f.complex.simplices), len(grid.criticals))
     full = level_barcode(f, grid)

@@ -7,22 +7,25 @@ With this model a level set at an endpoint of a band is literally a
 subset of the band's cells, so inclusion chain maps are identities on
 cell ids and need no geometric bookkeeping.
 
-Slice cell rules at value s, per carrier simplex with B/E/A vertices
-below/equal/above s: a transverse cell (B > 0 and A > 0) of dimension
-dim(carrier) - 1, or a constant cell (B = A = 0) of full dimension.
-Degenerate intersections collapse to the face spanned by the value-s
-vertices.  Slab cells over a gap [s, s'] exist for nonconstant carriers
-whose values reach both sides; no vertex value lies strictly inside a
-gap by construction.  Boundaries are assembled as deduplicated sets of
-canonical cells, then filtered to codimension one; every constructed
-complex asserts that the boundary squares to zero.
+One cell rule covers slices and slabs.  A builder reads the value span
+[min, max] of every simplex once.  In the slice at s a simplex carries
+its own cell when it crosses s (min < s < max), of dimension
+dim(simplex) - 1, or is constant at s, of full dimension; in the slab
+[lo, hi] it carries its own cell when it spans the band (min <= lo and
+max >= hi), of full dimension.  Otherwise the simplex meets the region
+only in the face of its vertices at the end value it touches, a constant
+slice cell, or not at all.  No vertex value lies strictly inside a slab
+by construction.  The boundary of a cell is the rule applied to each
+nonempty facet of its carrier, plus, for a slab, to the carrier at the
+two end slices, kept at codimension one; every constructed complex
+asserts that the boundary squares to zero.
 
 SlabBuilder(f).level(t) and .interlevel(a, b) build every complex.  A
-builder memoizes the slice and slab cells of each value and gap and the
-level and plain interlevel complexes it has built, and each complex
-caches its homology presentations, so one builder shared by all the
-computations on one map builds, validates and reduces each complex
-once.  include_level reads the level value and the interval off the two
+builder memoizes the cells of each slice and slab and the level and
+plain interlevel complexes it has built, and each complex caches its
+homology presentations, so one builder shared by all the computations
+on one map builds, validates and reduces each complex once.
+include_level reads the level value and the interval off the two
 complexes it is given.  A Cell is a named tuple, so hashing it runs in
 C; as a tuple it also equals the plain (carrier, lo, hi) tuple with the
 same fields.
@@ -66,48 +69,6 @@ class Cell(NamedTuple):
     def __repr__(self) -> str:
         span = f"@{self.lo}" if self.is_slice else f"@[{self.lo},{self.hi}]"
         return f"Cell({','.join(map(str, self.carrier))}{span})"
-
-
-def _canonical_slice_cell(f: VertexValuedMap, simplex: Simplex, s: float) -> Cell | None:
-    """The cell carrying the intersection of a simplex with a level.
-
-    Transverse crossings keep the simplex as carrier; one-sided contacts
-    collapse to the face spanned by the value-s vertices; no contact
-    yields None.
-    """
-    below = False
-    above = False
-    for v in simplex:
-        x = f.values[v]
-        if x < s:
-            below = True
-        elif x > s:
-            above = True
-    if below and above:
-        return Cell(simplex, s, s)
-    touching = tuple(v for v in simplex if f.values[v] == s)
-    if touching:
-        return Cell(touching, s, s)
-    return None
-
-
-def _canonical_slab_facet(f: VertexValuedMap, simplex: Simplex, lo: float, hi: float) -> Cell | None:
-    """Canonical cell met by a facet of a slab carrier inside the band."""
-    mn = f.min_on(simplex)
-    mx = f.max_on(simplex)
-    if mn <= lo and mx >= hi:
-        return Cell(simplex, lo, hi)
-    if mx <= lo:
-        return _canonical_slice_cell(f, simplex, lo)
-    if mn >= hi:
-        return _canonical_slice_cell(f, simplex, hi)
-    return None
-
-
-def _slice_cell_dim(f: VertexValuedMap, cell: Cell) -> int:
-    if f.is_constant_on(cell.carrier):
-        return len(cell.carrier) - 1
-    return len(cell.carrier) - 2
 
 
 class CellComplex:
@@ -181,67 +142,58 @@ def validate(c: CellComplex) -> None:
 class SlabBuilder:
     """Builds level and interlevel complexes of one map.
 
-    Memoizes the per-value slice cells and per-gap slab cells, which are
-    shared verbatim between every complex that uses them.
+    Reads the value span (min, max) of every simplex once, and memoizes
+    the cells of each slice and slab, which are shared verbatim between
+    every complex that uses them.
     """
 
     def __init__(self, f: VertexValuedMap) -> None:
         self.f = f
         self._values = sorted(set(f.values[v] for v in f.complex.vertices))
-        self._slice_chunks: dict[float, tuple[dict, dict]] = {}
-        self._slab_chunks: dict[tuple[float, float], tuple[dict, dict]] = {}
+        value = f.values.__getitem__
+        self._span = {s: (min(map(value, s)), max(map(value, s))) for s in f.complex.simplices}
+        self._chunks: dict[tuple[float, float], tuple[dict, dict]] = {}
         self._levels: dict[float, CellComplex] = {}
         self._interlevels: dict[tuple[float, float], CellComplex] = {}
 
-    def _slice_chunk(self, s: float):
-        if s not in self._slice_chunks:
-            f = self.f
-            dims: dict[Cell, int] = {}
-            for simplex in f.complex.simplices:
-                mn = f.min_on(simplex)
-                mx = f.max_on(simplex)
-                if mn < s < mx:
-                    dims[Cell(simplex, s, s)] = len(simplex) - 2
-                elif mn == s and mx == s:
-                    dims[Cell(simplex, s, s)] = len(simplex) - 1
-            boundary = {}
-            for cell, d in dims.items():
-                cands = {_canonical_slice_cell(f, t, s) for t in facets(cell.carrier)}
-                cands.discard(None)
-                boundary[cell] = frozenset(t for t in cands if dims[t] == d - 1)
-            self._slice_chunks[s] = (dims, boundary)
-        return self._slice_chunks[s]
+    def _cell(self, simplex: Simplex, lo: float, hi: float) -> tuple[Cell, int] | None:
+        """The cell a simplex meets in the slice lo == hi or the slab lo < hi,
+        with its dimension, or None where it meets neither."""
+        mn, mx = self._span[simplex]
+        if mn <= lo and hi <= mx:
+            if lo < hi or mn == mx:  # spans the slab, or is constant at the slice value
+                return Cell(simplex, lo, hi), len(simplex) - 1
+            if mn < lo < mx:  # crosses the slice
+                return Cell(simplex, lo, hi), len(simplex) - 2
+        s = lo if mx == lo else hi if mn == hi else None
+        if s is None:
+            return None
+        face = tuple(v for v in simplex if self.f.values[v] == s)
+        return Cell(face, s, s), len(face) - 1
 
-    def _slab_chunk(self, lo: float, hi: float):
+    def _chunk(self, lo: float, hi: float) -> tuple[dict, dict]:
+        """The cells of one slice or slab, with their dimensions and boundaries."""
         key = (lo, hi)
-        if key not in self._slab_chunks:
-            f = self.f
+        if key not in self._chunks:
             dims: dict[Cell, int] = {}
-            for simplex in f.complex.simplices:
-                if f.min_on(simplex) <= lo and f.max_on(simplex) >= hi:
-                    dims[Cell(simplex, lo, hi)] = len(simplex) - 1
+            for simplex in self._span:
+                met = self._cell(simplex, lo, hi)
+                if met is not None and met[0] == (simplex, lo, hi):  # its own cell, not a face's
+                    dims[met[0]] = met[1]
             boundary = {}
             for cell, d in dims.items():
-                cands = {
-                    _canonical_slice_cell(f, cell.carrier, lo),
-                    _canonical_slice_cell(f, cell.carrier, hi),
-                }
-                for t in facets(cell.carrier):
-                    cands.add(_canonical_slab_facet(f, t, lo, hi))
-                cands.discard(None)
-                kept = set()
-                for t in cands:
-                    td = len(t.carrier) - 1 if not t.is_slice else _slice_cell_dim(f, t)
-                    if td == d - 1:
-                        kept.add(t)
-                boundary[cell] = frozenset(kept)
-            self._slab_chunks[key] = (dims, boundary)
-        return self._slab_chunks[key]
+                faces = {self._cell(t, lo, hi) for t in facets(cell.carrier) if t}
+                if lo < hi:
+                    faces |= {self._cell(cell.carrier, lo, lo), self._cell(cell.carrier, hi, hi)}
+                faces.discard(None)
+                boundary[cell] = frozenset(t for t, td in faces if td == d - 1)
+            self._chunks[key] = (dims, boundary)
+        return self._chunks[key]
 
     def level(self, t: float) -> CellComplex:
         t = float(t)
         if t not in self._levels:
-            dims, boundary = self._slice_chunk(t)
+            dims, boundary = self._chunk(t, t)
             self._levels[t] = CellComplex(dims, boundary, (t,))
         return self._levels[t]
 
@@ -258,12 +210,8 @@ class SlabBuilder:
         slices = sorted({a, b} | set(inside) | set(extra))
         dims: dict[Cell, int] = {}
         boundary: dict[Cell, frozenset[Cell]] = {}
-        for s in slices:
-            d, bd = self._slice_chunk(s)
-            dims.update(d)
-            boundary.update(bd)
-        for lo, hi in zip(slices, slices[1:]):
-            d, bd = self._slab_chunk(lo, hi)
+        for lo, hi in [(s, s) for s in slices] + list(zip(slices, slices[1:])):
+            d, bd = self._chunk(lo, hi)
             dims.update(d)
             boundary.update(bd)
         out = CellComplex(dims, boundary, tuple(slices))

@@ -114,6 +114,25 @@ def random_vertex_map(rng: np.random.Generator) -> VertexValuedMap:
     return VertexValuedMap(cx, values)
 
 
+def random_filtration(rng, maximal, stages):
+    """Each maximal simplex enters at a random stage; vertex 0 at stage 0."""
+    entry = rng.integers(0, stages, size=len(maximal))
+    complexes = [build_complex([[0]] + [s for s, e in zip(maximal, entry) if e <= i])
+                 for i in range(stages)]
+    return Filtration(complexes, [float(t) for t in range(stages)])
+
+
+def seeded_telescopes(count, seed):
+    """Telescopes of seeded filtrations of 2-5 stages on 7 vertices."""
+    rng = np.random.default_rng(seed)
+    tels = []
+    for _ in range(count):
+        maximal = [sorted(int(v) for v in rng.choice(7, size=size, replace=False))
+                   for size in (4, 3, 3, 2, 2)]
+        tels.append(telescope(random_filtration(rng, maximal, int(rng.integers(2, 6)))))
+    return tels
+
+
 def grid_values(grid) -> list[float]:
     """The float at every grid position: the critical values and, between
     them, the float at which the band route slices each gap."""

@@ -115,6 +115,12 @@ def test_analyze_empty_complex():
     assert doc.checks is None and run_checks(f) == []
 
 
+def test_analyze_empty_complex_reports_the_requested_max_degree():
+    f = parse_input('{"vertices": [], "maximal_simplices": []}')
+    assert analyze(f).max_degree == 0
+    assert analyze(f, max_degree=3).max_degree == 3
+
+
 @pytest.mark.parametrize("checks", [False, True])
 def test_max_degree_above_the_dimension_changes_only_its_field(checks):
     # no degree above the complex dimension has a bar or a nonzero number,
@@ -281,6 +287,23 @@ def test_cli_float_grid_edges(values, tmp_path, capsys):
     else:
         assert main(["check", "--input", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "10/10 checks passed"
+
+
+def test_cli_check_passes_on_a_gap_two_ulps_wide(tmp_path, capsys):
+    # one float lies inside the gap: a random probe may round onto its lower
+    # end, and the redundant critical leaves no float on either side of it
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0, "value": 1.0}, {"id": 1, "value": 1.0000000000000004},
+                                             {"id": 2, "value": 1.0000000000000004}],
+                                "maximal_simplices": [[0, 1], [0, 2]]}))
+    for seed in range(12):
+        assert main(["check", "--input", str(path), "--seed", str(seed)]) == 0, seed
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "10/10 checks passed", seed
+        assert lines[-2].startswith("PASS redundant_critical_invariance (") and lines[-2].endswith("nothing to add)")
+    assert main(["check", "--input", str(edge_path(tmp_path, (1.0, 1.0000000000000002)))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_svg_spans_past_the_largest_float(tmp_path):

@@ -12,7 +12,6 @@ import levelpers.report as report
 from levelpers import (
     BitMatrix,
     CellComplex,
-    Filtration,
     LevelBar,
     LevelBarcode,
     SlabBuilder,
@@ -34,7 +33,8 @@ from levelpers import (
 )
 from levelpers.level import first_difference
 from levelpers.sublevel import INF, lower_star_boundary
-from conftest import FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_vertex_map
+from conftest import (FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_filtration,
+                      random_vertex_map, seeded_telescopes)
 
 
 def band_barcode(f, max_degree=None):
@@ -49,14 +49,6 @@ def grid_triangles(k):
             a, b, d, e = r * k + c, r * k + c + 1, (r + 1) * k + c, (r + 1) * k + c + 1
             tris += [[a, b, e], [a, d, e]]
     return tris
-
-
-def random_filtration(rng, maximal, stages):
-    """Each maximal simplex enters at a random stage; vertex 0 at stage 0."""
-    entry = rng.integers(0, stages, size=len(maximal))
-    complexes = [build_complex([[0]] + [s for s, e in zip(maximal, entry) if e <= i])
-                 for i in range(stages)]
-    return Filtration(complexes, [float(t) for t in range(stages)])
 
 
 # --- agreement with the band route ---------------------------------------------
@@ -380,16 +372,6 @@ def left_to_right_reduce(matrix):
 def lower_star_matrix(f):
     order, _, columns = lower_star_boundary(f)
     return BitMatrix.from_bits(columns, len(order))
-
-
-def seeded_telescopes(count, seed):
-    rng = np.random.default_rng(seed)
-    tels = []
-    for _ in range(count):
-        maximal = [sorted(int(v) for v in rng.choice(7, size=size, replace=False))
-                   for size in (4, 3, 3, 2, 2)]
-        tels.append(telescope(random_filtration(rng, maximal, int(rng.integers(2, 6)))))
-    return tels
 
 
 def test_clearing_matches_left_to_right_on_lower_star_boundaries():

@@ -12,8 +12,10 @@ from levelpers import (
     rank,
     validate,
     VertexValuedMap,
+    critical_values,
 )
-from conftest import random_vertex_map
+from levelpers.complexes import facets
+from conftest import FIXTURE_MAKERS, grid_values, random_vertex_map, seeded_telescopes
 
 
 def test_circle_level_regular(square_circle):
@@ -200,3 +202,123 @@ def test_cell_interface():
     for name in ("carrier", "lo", "hi"):
         with pytest.raises(AttributeError):
             setattr(cell, name, None)
+
+
+# --- the per-case cell rules SlabBuilder replaced with one rule, kept as a reference ---
+
+def ref_min(f, simplex):
+    return min(f.values[v] for v in simplex)
+
+
+def ref_max(f, simplex):
+    return max(f.values[v] for v in simplex)
+
+
+def ref_slice_cell(f, simplex, s):
+    below = False
+    above = False
+    for v in simplex:
+        x = f.values[v]
+        if x < s:
+            below = True
+        elif x > s:
+            above = True
+    if below and above:
+        return Cell(simplex, s, s)
+    touching = tuple(v for v in simplex if f.values[v] == s)
+    if touching:
+        return Cell(touching, s, s)
+    return None
+
+
+def ref_slab_facet(f, simplex, lo, hi):
+    mn = ref_min(f, simplex)
+    mx = ref_max(f, simplex)
+    if mn <= lo and mx >= hi:
+        return Cell(simplex, lo, hi)
+    if mx <= lo:
+        return ref_slice_cell(f, simplex, lo)
+    if mn >= hi:
+        return ref_slice_cell(f, simplex, hi)
+    return None
+
+
+def ref_slice_cell_dim(f, cell):
+    if ref_min(f, cell.carrier) == ref_max(f, cell.carrier):
+        return len(cell.carrier) - 1
+    return len(cell.carrier) - 2
+
+
+def ref_slice_chunk(f, s):
+    dims = {}
+    for simplex in f.complex.simplices:
+        mn = ref_min(f, simplex)
+        mx = ref_max(f, simplex)
+        if mn < s < mx:
+            dims[Cell(simplex, s, s)] = len(simplex) - 2
+        elif mn == s and mx == s:
+            dims[Cell(simplex, s, s)] = len(simplex) - 1
+    boundary = {}
+    for cell, d in dims.items():
+        cands = {ref_slice_cell(f, t, s) for t in facets(cell.carrier)}
+        cands.discard(None)
+        boundary[cell] = frozenset(t for t in cands if dims[t] == d - 1)
+    return dims, boundary
+
+
+def ref_slab_chunk(f, lo, hi):
+    dims = {}
+    for simplex in f.complex.simplices:
+        if ref_min(f, simplex) <= lo and ref_max(f, simplex) >= hi:
+            dims[Cell(simplex, lo, hi)] = len(simplex) - 1
+    boundary = {}
+    for cell, d in dims.items():
+        cands = {ref_slice_cell(f, cell.carrier, lo), ref_slice_cell(f, cell.carrier, hi)}
+        for t in facets(cell.carrier):
+            cands.add(ref_slab_facet(f, t, lo, hi))
+        cands.discard(None)
+        kept = set()
+        for t in cands:
+            td = len(t.carrier) - 1 if not t.is_slice else ref_slice_cell_dim(f, t)
+            if td == d - 1:
+                kept.add(t)
+        boundary[cell] = frozenset(kept)
+    return dims, boundary
+
+
+def ref_complex(f, slices, memo):
+    """dims and boundary of the complex on the sorted slice values, with a
+    slab over each gap between consecutive ones; memo keeps the chunks of f."""
+    dims, boundary = {}, {}
+    for lo, hi in [(s, s) for s in slices] + list(zip(slices, slices[1:])):
+        if (lo, hi) not in memo:
+            memo[lo, hi] = ref_slice_chunk(f, lo) if lo == hi else ref_slab_chunk(f, lo, hi)
+        d, bd = memo[lo, hi]
+        dims.update(d)
+        boundary.update(bd)
+    return dims, boundary
+
+
+def test_one_cell_rule_matches_the_per_case_rules():
+    rng = np.random.default_rng(16)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(260)]
+    built = 0
+    for f in maps + seeded_telescopes(20, 1616):
+        builder, memo = SlabBuilder(f), {}
+        values = sorted(set(f.values.values()))
+        pts = grid_values(critical_values(f))
+        for t in pts:
+            assert (builder.level(t).dims, builder.level(t).boundary) == ref_complex(f, [t], memo), (f, t)
+        built += len(pts)
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts[i + 1:i + 3] + pts[-1:]):
+                if b <= a:
+                    continue
+                inside = [x for x in values if a < x < b]
+                refined = ((float(rng.uniform(a, b)),),) if j == 0 else ()  # one refinement per start
+                for extra_slices in ((), *refined):
+                    band = builder.interlevel(a, b, extra_slices)
+                    slices = sorted({a, b, *inside, *(x for x in extra_slices if a < x < b)})
+                    assert (band.dims, band.boundary) == ref_complex(f, slices, memo), (f, a, b, extra_slices)
+                    built += 1
+    assert built > 9000  # levels, bands and refined bands compared

@@ -53,7 +53,7 @@ def test_betti_diagonal_matches_subcomplex_homology():
         f = random_vertex_map(rng)
         bc = sublevel_barcode(f)
         for t in critical_values(f).criticals:
-            sub_simplices = [s for s in f.complex.simplices if f.max_on(s) <= t]
+            sub_simplices = [s for s in f.complex.simplices if max(f.values[v] for v in s) <= t]
             sub = build_complex(sub_simplices) if sub_simplices else None
             for r in range(f.complex.dim + 1):
                 direct = 0
@@ -121,7 +121,7 @@ def test_mu_bounded_by_entering_simplices():
         for r in bc.degrees():
             for t in grid.criticals:
                 entering = sum(1 for s in f.complex.simplices
-                               if len(s) == r + 1 and f.max_on(s) == t)
+                               if len(s) == r + 1 and max(f.values[v] for v in s) == t)
                 total = sum(m for (rr, b, _), m in bc.bars.items() if rr == r and b == t)
                 assert total <= entering
 

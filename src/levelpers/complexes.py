@@ -97,7 +97,8 @@ class VertexValuedMap:
 
 @dataclass(frozen=True)
 class CriticalGrid:
-    """The sorted distinct critical values T[0] < ... < T[P-1].
+    """The sorted distinct critical values T[0] < ... < T[P-1], from any
+    nonempty collection of values in any order, repeats allowed.
 
     A level is indexed by its grid position: 2k at T[k], and 2k + 1
     anywhere strictly inside the gap above T[k], since every regular
@@ -108,12 +109,11 @@ class CriticalGrid:
 
     criticals: tuple[float, ...]
 
-    @classmethod
-    def from_criticals(cls, values) -> "CriticalGrid":
-        crit = tuple(sorted(set(float(v) for v in values)))
-        if not crit:
+    def __post_init__(self) -> None:
+        criticals = tuple(sorted(set(map(float, self.criticals))))
+        if not criticals:
             raise ValueError("no critical values")
-        return cls(crit)
+        object.__setattr__(self, "criticals", criticals)
 
     def position(self, x: float) -> int | None:
         """2k for T[k], 2k + 1 strictly inside the gap above T[k], None
@@ -141,17 +141,11 @@ class CriticalGrid:
         return mid
 
 
-def critical_values(f: VertexValuedMap, extra_criticals=()) -> CriticalGrid:
-    """Grid of the distinct vertex values, optionally with extra probes.
-
-    Extra values only add zero-multiplicity rows to every downstream
-    table; barcodes must not change under them.
-    """
+def critical_values(f: VertexValuedMap) -> CriticalGrid:
+    """Grid of the distinct vertex values."""
     if not f.complex.vertices:
         raise ValueError("empty complex has no critical values")
-    vals = set(f.values[v] for v in f.complex.vertices)
-    vals.update(float(x) for x in extra_criticals)
-    return CriticalGrid.from_criticals(vals)
+    return CriticalGrid(tuple(f.values.values()))
 
 
 def lower_star_filtration(f: VertexValuedMap) -> list[tuple[Simplex, float]]:

@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .complexes import Filtration, VertexValuedMap, build_complex, critical_values, telescope
+from .complexes import CriticalGrid, Filtration, VertexValuedMap, build_complex, critical_values, telescope
 from .gf2 import induced_map, rank
 from .level import (
     LevelBarcode,
@@ -294,7 +294,10 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     """Run the named executable invariants on one map, independently of
     analyze.  Degrees stop at min(max_degree, dim), as in analyze, and an
     empty complex has nothing to check.  Randomized probes (extra regular
-    values, refinement slices) are drawn from the given seed.
+    values, refinement slices) are drawn from the given seed; a gap or a
+    span that holds no float for its probe is skipped, and the check's
+    detail counts the probes made ("P of N gaps probed; K hold no other
+    float", "R of N spans refined; K too narrow to cut").
     """
     if not f.complex.simplices:
         return []
@@ -334,24 +337,32 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
 
     def gap_invariance():
         T = grid.criticals
+        probed = 0
         for k in range(len(T) - 1):
             lo, hi = T[k], T[k + 1]
             probe = _between(lo, hi, float(rng.uniform(0.1, 0.9)))
-            if not lo < probe < hi:  # a gap a few floats wide rounds the draw onto an end
-                probe = grid.regular_above(k)
-            a = betti_numbers(builder.level(grid.regular_above(k)), top)
+            mid = grid.regular_above(k)
+            if not lo < probe < hi or probe == mid:  # a gap a few floats wide may hold no other float
+                continue
+            probed += 1
+            a = betti_numbers(builder.level(mid), top)
             b = betti_numbers(builder.level(probe), top)
             if a != b:
                 raise AssertionError(f"level Betti numbers differ inside gap ({lo}, {hi}): {a} vs {b}")
-        return f"{max(len(T) - 1, 0)} gaps"
+        gaps = len(T) - 1
+        return f"{gaps} gaps" if probed == gaps else f"{probed} of {gaps} gaps probed; {gaps - probed} hold no other float"
 
     def refinement_independence():
+        cut = 0
         for a, b in sampled:
             extra = _between(a, b, float(rng.uniform(0.3, 0.7)))
             while extra in f.values.values():
                 extra = _between(a, b, float(rng.uniform(0.3, 0.7)))
+            if not a < extra < b:  # the draw rounded onto an end of a span a few floats wide
+                continue
+            cut += 1
             plain = builder.interlevel(a, b)
-            refined = builder.interlevel(a, b, extra_slices=(extra,))
+            refined = builder.interlevel(a, extra, b)
             if betti_numbers(plain, top) != betti_numbers(refined, top):
                 raise AssertionError(f"refining [{a}, {b}] at {extra} changed Betti numbers")
             for t in (a, b):
@@ -359,7 +370,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
                 for r in range(top + 1):
                     if _induced_rank(src, plain, r) != _induced_rank(src, refined, r):
                         raise AssertionError(f"refining [{a}, {b}] changed an induced rank at level {t}")
-        return f"{len(sampled)} spans"
+        n = len(sampled)
+        return f"{n} spans" if cut == n else f"{cut} of {n} spans refined; {n - cut} too narrow to cut"
 
     nums = compute_relevant_numbers(f, top, grid=grid, builder=builder)
     bc = barcode_from_overlaps(nums)
@@ -412,7 +424,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         lo, hi = grid.criticals[k], grid.criticals[k + 1]
         if math.nextafter(lo, hi) == extra or math.nextafter(extra, hi) == hi:
             return f"no float lies strictly inside ({lo}, {extra}) or ({extra}, {hi}): nothing to add"
-        wide = critical_values(f, extra_criticals=(extra,))
+        wide = CriticalGrid((*grid.criticals, extra))
         nums2 = compute_relevant_numbers(f, top, grid=wide, builder=builder)
         bc2 = barcode_from_overlaps(nums2)
         if bc2.counts != bc.counts:

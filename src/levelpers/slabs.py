@@ -20,11 +20,14 @@ nonempty facet of its carrier, plus, for a slab, to the carrier at the
 two end slices, kept at codimension one; every constructed complex
 asserts that the boundary squares to zero.
 
-SlabBuilder(f).level(t) and .interlevel(a, b) build every complex.  A
-builder memoizes the cells of each slice and slab and the level and
-plain interlevel complexes it has built, and each complex caches its
-homology presentations, so one builder shared by all the computations
-on one map builds, validates and reduces each complex once.
+SlabBuilder(f).interlevel(*values) builds every complex: it slices
+[values[0], values[-1]] at every given value and at every vertex value
+in between, so one value gives a level, two a band and more a refined
+band; level(t) is interlevel(t).  A builder memoizes the cells of each
+slice and slab and, in one dict keyed by the values with repeats
+merged, every complex it has built; each complex caches its homology
+presentations, so one builder shared by all the computations on one
+map builds, validates and reduces each complex once.
 include_level reads the level value and the interval off the two
 complexes it is given.  A Cell is a named tuple, so hashing it runs in
 C; as a tuple it also equals the plain (carrier, lo, hi) tuple with the
@@ -144,7 +147,7 @@ class SlabBuilder:
 
     Reads the value span (min, max) of every simplex once, and memoizes
     the cells of each slice and slab, which are shared verbatim between
-    every complex that uses them.
+    every complex that uses them, and every complex it builds.
     """
 
     def __init__(self, f: VertexValuedMap) -> None:
@@ -153,8 +156,7 @@ class SlabBuilder:
         value = f.values.__getitem__
         self._span = {s: (min(map(value, s)), max(map(value, s))) for s in f.complex.simplices}
         self._chunks: dict[tuple[float, float], tuple[dict, dict]] = {}
-        self._levels: dict[float, CellComplex] = {}
-        self._interlevels: dict[tuple[float, float], CellComplex] = {}
+        self._complexes: dict[tuple[float, ...], CellComplex] = {}
 
     def _cell(self, simplex: Simplex, lo: float, hi: float) -> tuple[Cell, int] | None:
         """The cell a simplex meets in the slice lo == hi or the slab lo < hi,
@@ -191,33 +193,27 @@ class SlabBuilder:
         return self._chunks[key]
 
     def level(self, t: float) -> CellComplex:
-        t = float(t)
-        if t not in self._levels:
-            dims, boundary = self._chunk(t, t)
-            self._levels[t] = CellComplex(dims, boundary, (t,))
-        return self._levels[t]
+        return self.interlevel(t)
 
-    def interlevel(self, a: float, b: float, extra_slices=()) -> CellComplex:
-        a = float(a)
-        b = float(b)
-        if a > b:
-            raise ValueError("interval endpoints are reversed")
-        extra = tuple(sorted(float(x) for x in extra_slices if a < float(x) < b))
-        key = (a, b)
-        if not extra and key in self._interlevels:
-            return self._interlevels[key]
-        inside = self._values[bisect.bisect_right(self._values, a):bisect.bisect_left(self._values, b)]
-        slices = sorted({a, b} | set(inside) | set(extra))
-        dims: dict[Cell, int] = {}
-        boundary: dict[Cell, frozenset[Cell]] = {}
-        for lo, hi in [(s, s) for s in slices] + list(zip(slices, slices[1:])):
-            d, bd = self._chunk(lo, hi)
-            dims.update(d)
-            boundary.update(bd)
-        out = CellComplex(dims, boundary, tuple(slices))
-        if not extra:
-            self._interlevels[key] = out
-        return out
+    def interlevel(self, *values: float) -> CellComplex:
+        """The complex of f^-1([values[0], values[-1]]), sliced at every
+        given value and at every vertex value in between: one value gives
+        a level, two a band, more a refined band.  Equal values count once."""
+        values = tuple(map(float, values))
+        if not values or any(x > y for x, y in zip(values, values[1:])):
+            raise ValueError("interval endpoints are reversed" if values else "no values to slice at")
+        key = tuple(dict.fromkeys(values))
+        if key not in self._complexes:
+            inside = self._values[bisect.bisect_right(self._values, key[0]):bisect.bisect_left(self._values, key[-1])]
+            slices = sorted({*key, *inside})
+            dims: dict[Cell, int] = {}
+            boundary: dict[Cell, frozenset[Cell]] = {}
+            for lo, hi in [(s, s) for s in slices] + list(zip(slices, slices[1:])):
+                d, bd = self._chunk(lo, hi)
+                dims.update(d)
+                boundary.update(bd)
+            self._complexes[key] = CellComplex(dims, boundary, tuple(slices))
+        return self._complexes[key]
 
 
 @dataclass

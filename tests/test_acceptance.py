@@ -189,7 +189,7 @@ def test_criterion_5_structural_invariants():
                 while extra in f.values.values():
                     extra = a + (b - a) * float(rng.uniform(0.3, 0.7))
                 plain = builder.interlevel(a, b)
-                refined = builder.interlevel(a, b, extra_slices=(extra,))
+                refined = builder.interlevel(a, extra, b)
                 assert betti_numbers(plain, f.complex.dim) == betti_numbers(refined, f.complex.dim), \
                     "refinement changed Betti numbers"
                 for t in (a, b):

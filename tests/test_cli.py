@@ -22,7 +22,7 @@ from levelpers.report import (
     run_checks,
     svg_text,
 )
-from levelpers import Filtration, VertexValuedMap
+from levelpers import Filtration, SlabBuilder, VertexValuedMap
 from conftest import FIXTURE_MAKERS, make_octahedron, make_square_circle
 
 CIRCLE_DOC = json.dumps({
@@ -289,9 +289,20 @@ def test_cli_float_grid_edges(values, tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == "10/10 checks passed"
 
 
-def test_cli_check_passes_on_a_gap_two_ulps_wide(tmp_path, capsys):
-    # one float lies inside the gap: a random probe may round onto its lower
-    # end, and the redundant critical leaves no float on either side of it
+def test_cli_check_passes_on_a_gap_two_ulps_wide(tmp_path, capsys, monkeypatch):
+    # one float lies inside the gap: the random probes round onto an end or
+    # onto the gap's own slice, so the gap and two of the three spans go
+    # unprobed and say so, and the redundant critical leaves no float on
+    # either side of it; every refined band that is built is cut strictly inside
+    refined = []
+    plain_interlevel = SlabBuilder.interlevel
+
+    def recording(self, *values):
+        if len(values) > 2:
+            refined.append(values)
+        return plain_interlevel(self, *values)
+
+    monkeypatch.setattr(SlabBuilder, "interlevel", recording)
     path = tmp_path / "narrow.json"
     path.write_text(json.dumps({"vertices": [{"id": 0, "value": 1.0}, {"id": 1, "value": 1.0000000000000004},
                                              {"id": 2, "value": 1.0000000000000004}],
@@ -301,6 +312,16 @@ def test_cli_check_passes_on_a_gap_two_ulps_wide(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "10/10 checks passed", seed
         assert lines[-2].startswith("PASS redundant_critical_invariance (") and lines[-2].endswith("nothing to add)")
+        assert "PASS gap_invariance (0 of 1 gaps probed; 1 hold no other float)" in lines, seed
+        assert "PASS refinement_independence (1 of 3 spans refined; 2 too narrow to cut)" in lines, seed
+    assert len(refined) == 12
+    for name, make in FIXTURE_MAKERS.items():  # wide gaps: every gap probed and every span cut
+        f = make()
+        before = len(refined)
+        details = {c.name: c.detail for c in run_checks(f)}
+        assert details["refinement_independence"] == f"{len(refined) - before} spans", name
+        assert details["gap_invariance"] == f"{len(set(f.values.values())) - 1} gaps", name
+    assert all(values[0] < x < values[-1] for values in refined for x in values[1:-1])
     assert main(["check", "--input", str(edge_path(tmp_path, (1.0, 1.0000000000000002)))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1

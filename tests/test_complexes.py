@@ -92,7 +92,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_gap_float_lies_inside_its_gap(a, b):
     a, b = sorted((a + 0.0, b + 0.0))
     assume(a < b)
-    grid = CriticalGrid.from_criticals([a, b])
+    grid = CriticalGrid((a, b))
     if math.nextafter(a, b) == b:
         with pytest.raises(ValueError, match=re.escape(f"no float lies strictly inside the gap ({a!r}, {b!r})")):
             grid.regular_above(0)
@@ -113,6 +113,13 @@ def test_critical_values_empty_complex():
     empty = SimplicialComplex((), frozenset())
     with pytest.raises(ValueError):
         critical_values(VertexValuedMap(empty, {}))
+
+
+def test_critical_grid_sorts_and_merges_its_values():
+    assert CriticalGrid((2.0, 1.0, 2.0)).criticals == (1.0, 2.0)
+    assert CriticalGrid((3, 1)) == CriticalGrid((1.0, 3.0))
+    with pytest.raises(ValueError, match="no critical values"):
+        CriticalGrid(())
 
 
 def test_lower_star_edge():

@@ -175,14 +175,14 @@ def test_numbers_from_barcode_circle(square_circle):
 
 
 def test_numbers_from_empty_barcode():
-    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    grid = CriticalGrid((0.0, 1.0))
     nums = numbers_from_barcode(LevelBarcode(grid, {}), 1)
     pts = grid_values(grid)
     assert all(nums.level_rank(r, x) == 0 for r in (0, 1) for x in pts)
 
 
 def test_numbers_from_singleton_bar():
-    grid = CriticalGrid.from_criticals([5.0])
+    grid = CriticalGrid((5.0,))
     bc = LevelBarcode(grid, {LevelBar(0, 5.0, 5.0, True, True): 1})
     nums = numbers_from_barcode(bc, 0)
     assert nums.level_rank(0, 5.0) == 1
@@ -222,7 +222,7 @@ def test_bridge_random():
 
 def random_level_barcode(rng, max_degree=2):
     criticals = sorted(float(x) for x in rng.choice(10, size=int(rng.integers(1, 5)), replace=False))
-    grid = CriticalGrid.from_criticals(criticals)
+    grid = CriticalGrid(criticals)
     counts = {}
     for _ in range(int(rng.integers(0, 7))):
         r = int(rng.integers(0, max_degree + 1))
@@ -277,7 +277,7 @@ def test_redundant_critical_leaves_barcode_alone():
         if len(grid.criticals) < 2:
             continue
         extra = grid.regular_above(k)
-        wide = critical_values(f, extra_criticals=(extra,))
+        wide = CriticalGrid((*grid.criticals, extra))
         nums2 = compute_relevant_numbers(f, grid=wide)
         bc2 = barcode_from_overlaps(nums2)
         assert bc2.counts == bc.counts
@@ -319,7 +319,7 @@ def test_kernel_route_messages(square_circle, table, key, delta, message):
 
 
 def test_barcode_rejects_non_critical_endpoint():
-    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    grid = CriticalGrid((0.0, 1.0))
     with pytest.raises(ValueError, match="non-critical"):
         LevelBarcode(grid, {LevelBar(0, 0.5, 1.0, True, True): 1})
 
@@ -330,7 +330,7 @@ def test_barcode_rejects_non_critical_endpoint():
     (LevelBar(1, 0.0, 3.0, False, False), "H1 (0.0, 3.0)"),     # right end off the grid
 ])
 def test_non_critical_endpoint_message(bar, text):
-    grid = CriticalGrid.from_criticals([0.0, 1.0])
+    grid = CriticalGrid((0.0, 1.0))
     with pytest.raises(ValueError) as exc:
         LevelBarcode(grid, {LevelBar(0, 0.0, 1.0, True, True): 1, bar: 2})
     assert str(exc.value) == f"bar {text} has a non-critical endpoint"

@@ -174,7 +174,7 @@ def test_refinement_independence():
             extra = float(rng.uniform(lo, hi))
         builder = SlabBuilder(f)
         plain = builder.interlevel(lo, hi)
-        refined = builder.interlevel(lo, hi, extra_slices=(extra,))
+        refined = builder.interlevel(lo, extra, hi)
         top = f.complex.dim
         assert betti_numbers(plain, top) == betti_numbers(refined, top)
         for t in (lo, hi):
@@ -186,6 +186,23 @@ def test_refinement_independence():
                     m = induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r))
                     ranks.append(rank(m))
                 assert ranks[0] == ranks[1]
+
+
+def test_one_constructor_for_levels_bands_and_refined_bands(square_circle):
+    builder = SlabBuilder(square_circle)
+    assert builder.level(0.5) is builder.interlevel(0.5) is builder.interlevel(0.5, 0.5)
+    band = builder.interlevel(0.0, 2.0)
+    assert band.slice_values == (0.0, 1.0, 2.0)  # sliced at every vertex value in between
+    assert builder.interlevel(0, 0.0, 2.0, 2.0) is band  # equal values count once
+    refined = builder.interlevel(0.0, 0.5, 2.0)
+    assert refined.slice_values == (0.0, 0.5, 1.0, 2.0)
+    assert builder.interlevel(0.0, 0.5, 0.5, 2.0) is refined and refined is not band
+    assert builder.interlevel(0.0, 1.0, 2.0).slice_values == band.slice_values
+    for values in ((2.0, 0.0), (0.0, 2.0, 1.0), (1.0, 0.0, 1.0)):  # the order is checked before merging
+        with pytest.raises(ValueError, match="interval endpoints are reversed"):
+            builder.interlevel(*values)
+    with pytest.raises(ValueError, match="no values to slice at"):
+        builder.interlevel()
 
 
 def test_cell_interface():
@@ -316,9 +333,9 @@ def test_one_cell_rule_matches_the_per_case_rules():
                     continue
                 inside = [x for x in values if a < x < b]
                 refined = ((float(rng.uniform(a, b)),),) if j == 0 else ()  # one refinement per start
-                for extra_slices in ((), *refined):
-                    band = builder.interlevel(a, b, extra_slices)
-                    slices = sorted({a, b, *inside, *(x for x in extra_slices if a < x < b)})
-                    assert (band.dims, band.boundary) == ref_complex(f, slices, memo), (f, a, b, extra_slices)
+                for extras in ((), *refined):
+                    band = builder.interlevel(a, *extras, b)
+                    slices = sorted({a, b, *inside, *extras})
+                    assert (band.dims, band.boundary) == ref_complex(f, slices, memo), (f, a, b, extras)
                     built += 1
     assert built > 9000  # levels, bands and refined bands compared

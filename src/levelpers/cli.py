@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="levelpers",
                      description="Level and sub-level persistence of PL maps on simplicial complexes.")
@@ -54,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "sublevel":  # the sub-level bars come from the uncut barcode
             p.add_argument("--max-degree", type=int)
         if name == "check":
-            p.add_argument("--seed", type=int, help="seed for randomized checks")
+            p.add_argument("--seed", type=_seed, help="seed for randomized checks")
         if name == "analyze":
             p.add_argument("--svg", help="also render an SVG to this path")
     return parser

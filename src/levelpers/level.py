@@ -4,7 +4,10 @@ The level barcode of a PL vertex map is its extended persistence
 (Cohen-Steiner, Edelsbrunner and Harer 2009; Carlsson, de Silva and
 Morozov 2009): level_barcode reads all four bar kinds off one column
 reduction of the cone over the complex, whose columns are the lower-star
-filtration followed by the cone over the upper-star filtration.
+filtration followed by the cone over the upper-star filtration.  The
+bar routes take only their input: level_barcode(f) returns every degree
+over the grid critical_values(f), and sublevel_from_level(bc) maps every
+bar of bc over bc.grid; a caller that wants fewer degrees cuts the bars.
 
 The level bars also determine five families of numbers per homology
 degree, indexed over the grid of critical and regular values:
@@ -157,9 +160,9 @@ def first_difference(a, b) -> str:
     return ""
 
 
-def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
-                  max_degree: int | None = None) -> LevelBarcode:
-    """Level bars from one extended-persistence reduction of the cone.
+def level_barcode(f: VertexValuedMap) -> LevelBarcode:
+    """Level bars, in every degree, over critical_values(f), from one
+    extended-persistence reduction of the cone.
 
     Columns are the cone point w, then the simplices of K in lower-star
     order, then the cones w*s in descending upper-star order, sorted by
@@ -173,13 +176,10 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
     * both in the cone (relative), birth of cone dimension r + 1:
       (b, a] in degree r, if a != b.
 
-    The cone point is essential and pairs with nothing.  Bars above
-    max_degree (default: the complex dimension) are dropped.
+    The cone point is essential and pairs with nothing.  A pair's degree
+    is that of a simplex of K, or one less, so no bar lies above the
+    complex dimension: a caller that wants fewer degrees cuts the bars.
     """
-    if grid is None:
-        grid = critical_values(f)
-    top = f.complex.dim if max_degree is None else max_degree
-    top = max(top, 0)
     lower, index, boundary = lower_star_boundary(f)
     value = f.values.__getitem__
     upper = [(-min(map(value, s)), len(s), s) for s in f.complex.simplices]
@@ -212,10 +212,10 @@ def level_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None,
             bar = LevelBar(r, a, b, True, True) if a <= b else LevelBar(r - 1, b, a, False, False)
         else:
             bar = LevelBar(r, b, a, False, True) if a != b else None
-        if bar is not None and bar.degree <= top:
+        if bar is not None:
             counts[bar] = counts.get(bar, 0) + 1
     _log.debug("cone reduction: %d simplices, %d cone columns, %d pairs", n, len(columns), len(pairs))
-    return LevelBarcode(grid, counts)
+    return LevelBarcode(critical_values(f), counts)
 
 
 # the five families, by accessor name
@@ -639,24 +639,20 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
     return LevelBarcode(nums.grid, counts)
 
 
-def sublevel_from_level(bc: LevelBarcode, max_degree: int | None = None) -> SublevelBarcode:
+def sublevel_from_level(bc: LevelBarcode) -> SublevelBarcode:
     """Sub-level bars from level bars, in one pass over the bars.
 
     A closed-open bar [b, d) survives as the same finite bar; a
     closed-closed bar starting at b feeds an infinite bar at b; an
     open-open bar ending at d feeds an infinite bar at d one degree up;
-    open-closed bars contribute nothing.  Sub-level degrees above
-    max_degree + 1 (default: the highest level degree + 1) are dropped.
+    open-closed bars contribute nothing.  Sub-level degree d needs the
+    level degrees d - 1 and d, so of level bars cut at degree m only
+    the sub-level degrees 0..m are whole.
     """
-    top = bc.max_degree() if max_degree is None else max_degree
     bars: Counter = Counter()
     for b, m in bc.counts.items():
         if b.left_closed:
-            key = (b.degree, b.left, INF if b.right_closed else b.right)
+            bars[(b.degree, b.left, INF if b.right_closed else b.right)] += m
         elif not b.right_closed:
-            key = (b.degree + 1, b.right, INF)
-        else:
-            continue
-        if key[0] <= top + 1:
-            bars[key] += m
+            bars[(b.degree + 1, b.right, INF)] += m
     return SublevelBarcode(bc.grid, bars)

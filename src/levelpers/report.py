@@ -294,10 +294,12 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     """Run the named executable invariants on one map, independently of
     analyze.  Degrees stop at min(max_degree, dim), as in analyze, and an
     empty complex has nothing to check.  Randomized probes (extra regular
-    values, refinement slices) are drawn from the given seed; a gap or a
-    span that holds no float for its probe is skipped, and the check's
-    detail counts the probes made ("P of N gaps probed; K hold no other
-    float", "R of N spans refined; K too narrow to cut").
+    values, refinement slices) are drawn from the given seed.  A gap
+    probe that rounds onto an end of its gap or onto the gap's slice
+    value moves to a float next to the slice value; a gap that holds no
+    other float, or a span too narrow for its cut, is skipped, and the
+    check's detail counts the probes made ("P of N gaps probed; K hold
+    no other float", "R of N spans refined; K too narrow to cut").
     """
     if not f.complex.simplices:
         return []
@@ -342,8 +344,10 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             lo, hi = T[k], T[k + 1]
             probe = _between(lo, hi, float(rng.uniform(0.1, 0.9)))
             mid = grid.regular_above(k)
-            if not lo < probe < hi or probe == mid:  # a gap a few floats wide may hold no other float
-                continue
+            if not lo < probe < hi or probe == mid:  # the draw rounded onto an end or onto the slice value
+                probe = next((x for x in (math.nextafter(mid, lo), math.nextafter(mid, hi)) if lo < x < hi), None)
+                if probe is None:  # a gap a few floats wide may hold no other float
+                    continue
             probed += 1
             a = betti_numbers(builder.level(mid), top)
             b = betti_numbers(builder.level(probe), top)
@@ -373,14 +377,14 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         n = len(sampled)
         return f"{n} spans" if cut == n else f"{cut} of {n} spans refined; {n - cut} too narrow to cut"
 
-    nums = compute_relevant_numbers(f, top, grid=grid, builder=builder)
+    nums = compute_relevant_numbers(f, top, builder=builder)
     bc = barcode_from_overlaps(nums)
 
     def conversion_agreement():
         other = barcode_from_kernels(nums)
         if bc != other:
             raise AssertionError(f"conversion routes disagree at {first_difference(bc, other)}")
-        cone = level_barcode(f, grid, top)
+        cone = _up_to(level_barcode(f), top)
         if bc != cone:
             raise AssertionError(f"band route and cone reduction disagree at {first_difference(bc, cone)}")
 
@@ -389,15 +393,14 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         if back != nums:
             raise AssertionError(f"numbers -> bars -> numbers is not the identity at {first_difference(back, nums)}")
 
-    sb = sublevel_barcode(f, grid)
+    sb = sublevel_barcode(f)
 
     def bridge_identity():
         # sub-level degree d needs the level bars of degrees d - 1 and d
         m = min(top + 1, f.complex.dim)
-        level = bc if top >= m else barcode_from_overlaps(
-            compute_relevant_numbers(f, m, grid=grid, builder=builder))
-        derived = sublevel_from_level(level, m - 1)
-        reference = SublevelBarcode(grid, {key: mult for key, mult in sb.bars.items() if key[0] <= m})
+        level = bc if top >= m else barcode_from_overlaps(compute_relevant_numbers(f, m, builder=builder))
+        derived, reference = (SublevelBarcode(b.grid, {key: mult for key, mult in b.bars.items() if key[0] <= m})
+                              for b in (sublevel_from_level(level), sb))
         if derived != reference:
             raise AssertionError("level-derived and reduction sub-level bars differ at "
                                  f"{first_difference(derived, reference)}")
@@ -461,6 +464,11 @@ def _induced_rank(src, band, r):
     return rank(induced_map(homology_of(src, r), homology_of(band, r), inc.chain_matrix(r)))
 
 
+def _up_to(bc: LevelBarcode, top: int) -> LevelBarcode:
+    """The bars of bc in degrees 0..top."""
+    return LevelBarcode(bc.grid, {bar: m for bar, m in bc.counts.items() if bar.degree <= top})
+
+
 def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     """Full pipeline: level bars from the extended-persistence reduction
     of the cone, relevant-number tables counted from them, both
@@ -481,12 +489,10 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     def stage(message: str, *args) -> None:
         _log.debug(message + " (%.3f s)", *args, time.perf_counter() - start)
 
-    grid = critical_values(f)
-    top = min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
-    stage("grid: %d simplices, %d critical values", len(f.complex.simplices), len(grid.criticals))
-    full = level_barcode(f, grid)
-    bc = LevelBarcode(grid, {bar: m for bar, m in full.counts.items() if bar.degree <= top})
-    stage("level route: %d bars", sum(bc.counts.values()))
+    full = level_barcode(f)
+    grid, top = full.grid, min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
+    bc = _up_to(full, top)
+    stage("level route: %d bars over %d critical values", sum(bc.counts.values()), len(grid.criticals))
     nums = numbers_from_barcode(bc, top)
     stage("numbers: degrees 0..%d over %d critical values", top, len(grid.criticals))
     for route in (barcode_from_overlaps, barcode_from_kernels):

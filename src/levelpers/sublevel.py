@@ -4,10 +4,12 @@ Bars come from the column reduction, with clearing, of the lower-star
 filtration boundary matrix; Betti numbers of the persistence module are
 counted from bars by interval containment, and bar multiplicities are
 recovered from the Betti numbers by one inclusion-exclusion over
-consecutive critical values.  lower_star_boundary builds that matrix
-for both reductions; level_barcode shifts it one row down, below the
-cone point.  analyze reads the sub-level bars off the cone instead
-(sublevel_from_level), and check compares them with sublevel_barcode.
+consecutive critical values.  sublevel_barcode(f) takes only the map
+and returns every degree over the grid critical_values(f).
+lower_star_boundary builds the boundary matrix for both reductions;
+level_barcode shifts it one row down, below the cone point.  analyze
+reads the sub-level bars off the cone instead (sublevel_from_level),
+and check compares them with sublevel_barcode.
 """
 
 from __future__ import annotations
@@ -85,14 +87,13 @@ def lower_star_boundary(f: VertexValuedMap):
     return order, index, columns
 
 
-def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> SublevelBarcode:
-    """Bars of the sub-level persistence module via column reduction.
+def sublevel_barcode(f: VertexValuedMap) -> SublevelBarcode:
+    """Bars of the sub-level persistence module, in every degree, over
+    critical_values(f), via column reduction.
 
     A pair of simplices entering at equal values is a zero-length bar
     and is dropped; unpaired positive simplices give infinite bars.
     """
-    if grid is None:
-        grid = critical_values(f)
     order, _, columns = lower_star_boundary(f)
     pairs, essential = column_reduce(BitMatrix.from_bits(columns, len(order)))
 
@@ -107,7 +108,7 @@ def sublevel_barcode(f: VertexValuedMap, grid: CriticalGrid | None = None) -> Su
     for i in essential:
         key = (len(order[i][0]) - 1, order[i][1], INF)
         bars[key] = bars.get(key, 0) + 1
-    return SublevelBarcode(grid, bars)
+    return SublevelBarcode(critical_values(f), bars)
 
 
 def betti_from_bars(bc: SublevelBarcode, r: int, t: float, t2: float) -> int:

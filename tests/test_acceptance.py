@@ -71,7 +71,7 @@ def pipelines():
             bc = barcode_from_overlaps(nums)
             bc_k = barcode_from_kernels(nums)
             sb = sublevel_barcode(f)
-            bridged = sublevel_from_level(bc, nums.max_degree)
+            bridged = sublevel_from_level(bc)
             results[name] = (f, nums, bc, bc_k, sb, bridged)
         _CACHE["pipelines"] = results
         _CACHE["elapsed"] = time.perf_counter() - start

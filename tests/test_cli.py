@@ -327,6 +327,29 @@ def test_cli_check_passes_on_a_gap_two_ulps_wide(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_cli_check_probes_a_gap_next_to_its_slice_value(tmp_path, capsys):
+    # the gap (1.0, 1.0000000000000007) holds two floats: its slice value
+    # 1.0000000000000004 and 1.0000000000000002; where the random draw
+    # rounds onto the slice value, the float next to it is probed instead
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0, "value": 1.0}, {"id": 1, "value": 1.0000000000000007},
+                                             {"id": 2, "value": 2.0}],
+                                "maximal_simplices": [[0, 1], [1, 2]]}))
+    for seed in (0, 1, 2, 10, 11):
+        assert main(["check", "--input", str(path), "--seed", str(seed)]) == 0, seed
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS gap_invariance (2 gaps)" in lines, seed
+        assert lines[-1] == "10/10 checks passed", seed
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_check_refuses_a_seed_numpy_cannot_take(seed, circle_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", str(circle_path), "--seed", seed])
+    assert exc.value.code == 1
+    assert f"error: argument --seed: expected a non-negative integer, got {seed!r}" in capsys.readouterr().err
+
+
 def test_cli_svg_spans_past_the_largest_float(tmp_path):
     svg = tmp_path / "wide.svg"
     assert main(["analyze", "--input", str(edge_path(tmp_path, (-1.7e308, 1.7e308))), "--svg", str(svg),

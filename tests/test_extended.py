@@ -73,9 +73,11 @@ def test_degree_cutoff_matches_band_route(above_dim):
     for _ in range(30):
         f = random_vertex_map(rng)
         top = f.complex.dim + 2 if above_dim else 0
-        cone, band = level_barcode(f, max_degree=top), band_barcode(f, top)
+        full = level_barcode(f)
+        cone = LevelBarcode(full.grid, {bar: m for bar, m in full.counts.items() if bar.degree <= top})
+        band = band_barcode(f, top)
         assert cone == band, first_difference(cone, band)
-        assert cone.max_degree() <= top
+        assert full.max_degree() <= f.complex.dim
 
 
 def test_telescopes_match_band_route():
@@ -96,7 +98,7 @@ def band_route_document(f):
     return report.ResultDocument(
         criticals=[report.fmt_value(t) for t in grid.criticals],
         max_degree=top,
-        sublevel_bars=report._sublevel_rows(sublevel_barcode(f, grid)),
+        sublevel_bars=report._sublevel_rows(sublevel_barcode(f)),
         level_bars=report._level_rows(barcode_from_overlaps(nums)),
         numbers=report._number_rows(nums, grid),
     )
@@ -133,7 +135,7 @@ def test_number_rows_match_probed_tables():
     maps += [random_vertex_map(rng) for _ in range(40)]
     for k, f in enumerate(maps):
         grid = critical_values(f)
-        tables = [numbers_from_barcode(level_barcode(f, grid, top), top) for top in (0, f.complex.dim, 3)]
+        tables = [numbers_from_barcode(level_barcode(f), top) for top in (0, f.complex.dim, 3)]
         if k < len(FIXTURE_MAKERS):
             tables.append(compute_relevant_numbers(f, grid=grid))
         for nums in tables:
@@ -187,33 +189,16 @@ def test_large_inputs_are_consistent(maker):
     f = maker()
     grid = critical_values(f)
     top = f.complex.dim
-    bc = level_barcode(f, grid)
+    bc = level_barcode(f)
     assert bc.counts
     nums = numbers_from_barcode(bc, top)
     assert barcode_from_overlaps(nums) == bc
     assert barcode_from_kernels(nums) == bc
-    assert sublevel_from_level(bc, top) == sublevel_barcode(f, grid)
+    assert sublevel_from_level(bc) == sublevel_barcode(f)
     builder = SlabBuilder(f)
     for x in (*outside(grid), *grid_values(grid)[1::2]):
         betti = betti_numbers(builder.level(x), top)
         assert [nums.level_rank(r, x) for r in range(top + 1)] == list(betti), x
-
-
-def test_bridge_drops_degrees_above_the_cut():
-    # sublevel_from_level(bc, m) keeps the sub-level degrees <= m + 1 of
-    # the bridge, whatever degrees the level bars reach; None keeps all
-    rng = np.random.default_rng(46)
-    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(60)]
-    cut_bites = False
-    for f in maps:
-        grid = critical_values(f)
-        bc = level_barcode(f, grid)
-        sb = sublevel_barcode(f, grid)
-        for m in (0, 1, None):
-            kept = {key: mult for key, mult in sb.bars.items() if m is None or key[0] <= m + 1}
-            assert sublevel_from_level(bc, m).bars == kept, (f, m)
-            cut_bites |= kept != sb.bars
-    assert cut_bites
 
 
 # --- one reduction per analyze ---------------------------------------------------
@@ -239,7 +224,7 @@ def test_analyze_reads_sublevel_bars_off_the_cone():
     maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(40)]
     maps += seeded_grids(6, 48) + [hollow_tetrahedron()]
     for f in maps:
-        expected = report._sublevel_rows(sublevel_barcode(f, critical_values(f)))
+        expected = report._sublevel_rows(sublevel_barcode(f))
         for m in (None, 0, 1):
             assert report.analyze(f, max_degree=m).sublevel_bars == expected, (f, m)
     # sub-level H2 comes from level H2, which the document cuts at max_degree 0
@@ -437,8 +422,8 @@ def test_check_compares_band_route_with_cone(monkeypatch, square_circle):
     assert results["conversion_agreement"].passed
     assert results["conversion_agreement"].detail == ""
 
-    def shifted(f, grid, top):
-        bc = level_barcode(f, grid, top)
+    def shifted(f):
+        bc = level_barcode(f)
         return LevelBarcode(bc.grid, {LevelBar(1, 0.0, 2.0, True, True): 1, **bc.counts})
 
     monkeypatch.setattr(report, "level_barcode", shifted)
@@ -481,8 +466,8 @@ def test_stage_records_carry_sizes(caplog, octahedron):
     assert loud == quiet
     messages = [r.getMessage() for r in caplog.records if r.name == "levelpers"]
     stages = [m.split(":", 1)[0] for m in messages]
-    assert stages == ["grid", "cone reduction", "level route", "numbers", "conversions", "sub-level"]
-    assert messages[0].startswith(f"grid: {len(octahedron.complex.simplices)} simplices, 3 critical values")
+    assert stages == ["cone reduction", "level route", "numbers", "conversions", "sub-level"]
     n = len(octahedron.complex.simplices)
-    assert f"{n} simplices, {2 * n + 1} cone columns" in messages[1]
+    assert messages[0].startswith(f"cone reduction: {n} simplices, {2 * n + 1} cone columns")
+    assert messages[1].startswith("level route: 2 bars over 3 critical values")
     assert json.loads(loud)["level_bars"]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,7 +220,7 @@ def test_bridge_random():
         f = random_vertex_map(rng)
         nums = compute_relevant_numbers(f)
         bc = barcode_from_overlaps(nums)
-        assert sublevel_from_level(bc, nums.max_degree) == sublevel_barcode(f)
+        assert sublevel_from_level(bc) == sublevel_barcode(f)
 
 
 def random_level_barcode(rng, max_degree=2):
@@ -281,7 +284,7 @@ def test_redundant_critical_leaves_barcode_alone():
         nums2 = compute_relevant_numbers(f, grid=wide)
         bc2 = barcode_from_overlaps(nums2)
         assert bc2.counts == bc.counts
-        assert sublevel_from_level(bc2, nums2.max_degree) == sublevel_barcode(f, wide)
+        assert sublevel_from_level(bc2).bars == sublevel_barcode(f).bars
 
 
 def test_unrealizable_numbers_are_rejected():
@@ -334,3 +337,22 @@ def test_non_critical_endpoint_message(bar, text):
     with pytest.raises(ValueError) as exc:
         LevelBarcode(grid, {LevelBar(0, 0.0, 1.0, True, True): 1, bar: 2})
     assert str(exc.value) == f"bar {text} has a non-critical endpoint"
+
+
+def test_readme_library_example_runs_as_printed():
+    # the block under "## Library" in README.md, run as printed: bars has
+    # the bars its comment names and each bare expression the value its
+    # comment starts with
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    assert repr(namespace["bars"]) == "LevelBarcode(H0 (0.0, 2.0)x1; H0 [0.0, 2.0]x1)"
+    lines = block.splitlines()
+    stated = {ast.get_source_segment(block, node): lines[node.end_lineno - 1].split("#", 1)[1].split(":")[0].strip()
+              for node in ast.parse(block).body if isinstance(node, ast.Expr)}
+    assert stated == {"nums.image_overlap(0, 0.5, 1.5)": "2",
+                      "barcode_from_overlaps(compute_relevant_numbers(f)) == bars": "True",
+                      "sublevel_from_level(bars) == sublevel_barcode(f)": "True"}
+    for expression, value in stated.items():
+        assert repr(eval(expression, namespace)) == value, expression

@@ -95,7 +95,7 @@ def sample_maps():
 def test_tables_match_the_per_bar_count():
     for name, f in sample_maps():
         grid = critical_values(f)
-        bc = level_barcode(f, grid)
+        bc = level_barcode(f)
         for top in (0, f.complex.dim, 3):
             nums = numbers_from_barcode(bc, top)
             expected = counted_entries(bc, grid, top)
@@ -104,8 +104,7 @@ def test_tables_match_the_per_bar_count():
 
 
 def test_critical_entries_are_the_entries_at_critical_values(square_circle):
-    grid = critical_values(square_circle)
-    nums = numbers_from_barcode(level_barcode(square_circle, grid))
+    nums = numbers_from_barcode(level_barcode(square_circle))
     for family in NUMBER_FAMILIES:
         expected = [(e[0], *(i // 2 for i in e[1:-1]), e[-1]) for e in nums.entries(family)
                     if all(i % 2 == 0 for i in e[1:-1])]
@@ -127,7 +126,7 @@ def test_no_float_is_computed_inside_a_gap(monkeypatch):
         doc = report.analyze(f)
         assert all((doc.to_json(), report.result_to_csv(doc), report.numbers_to_csv(doc), report.svg_text(doc)))
         grid = critical_values(f)
-        bc = level_barcode(f, grid)
+        bc = level_barcode(f)
         nums = numbers_from_barcode(bc)
         assert barcode_from_overlaps(nums) == barcode_from_kernels(nums) == bc
         T = grid.criticals
@@ -257,8 +256,7 @@ def test_conversions_match_scalar_passes_on_corrupted_tables():
     maps.append(circle(9, 6))
     raised = 0
     for f in maps:
-        grid = critical_values(f)
-        nums = numbers_from_barcode(level_barcode(f, grid))
+        nums = numbers_from_barcode(level_barcode(f))
         for fast, scalar in ((barcode_from_overlaps, scalar_overlap_route),
                              (barcode_from_kernels, scalar_kernel_route)):
             assert outcome(fast, nums) == outcome(scalar, nums)
@@ -276,7 +274,7 @@ def test_each_conversion_reads_only_its_tables():
     for name, f in sample_maps():
         grid = critical_values(f)
         for top in (0, f.complex.dim):
-            nums = numbers_from_barcode(level_barcode(f, grid), top)
+            nums = numbers_from_barcode(level_barcode(f), top)
             at_criticals = [[[m if i % 2 == o % 2 == 0 else 0 for o, m in enumerate(row)]
                              for i, row in enumerate(rows)] for rows in nums._overlap]
             up, down = ([[[0] * len(row) for row in rows] for rows in table] for table in (nums._up, nums._down))

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: analyze, sublevel, level, numbers, check, svg.  Exit codes:
-0 on success, 1 on any input or usage error, 2 when a requested check
-fails.
+0 on success, 1 on any input or usage error and when memory runs out
+(one line on stderr), 2 when a requested check fails.
 """
 
 from __future__ import annotations
@@ -81,6 +81,16 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        return _run(args)
+    except MemoryError:  # reading, computing or writing, e.g. under an address-space cap
+        pass
+    # printed once the handler has let go of the exception, and with it every frame of _run
+    print(f"error: out of memory during {args.command}", file=sys.stderr)
+    return 1
+
+
+def _run(args) -> int:
+    try:
         with open(args.input, "r", encoding="utf-8") as handle:
             parsed = parse_input(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
@@ -103,38 +113,26 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.command == "analyze":
-            if args.svg:
-                render_svg(doc, args.svg)
-            _emit(doc.to_json() if args.format == "json" else result_to_csv(doc), args.output)
-        elif args.command == "sublevel":
-            if args.format == "json":
-                _emit(json_text({"criticals": doc.criticals, "sublevel_bars": doc.sublevel_bars}),
-                      args.output)
-            else:
-                _emit(result_to_csv(doc), args.output)
-        elif args.command == "level":
-            if args.format == "json":
-                _emit(json_text({"criticals": doc.criticals, "level_bars": doc.level_bars}),
-                      args.output)
-            else:
-                _emit(result_to_csv(dataclasses.replace(doc, sublevel_bars=[])), args.output)
-        elif args.command == "numbers":
-            if args.format == "json":
-                _emit(json_text({"criticals": doc.criticals, "numbers": doc.numbers}),
-                      args.output)
-            else:
-                _emit(numbers_to_csv(doc), args.output)
-        elif args.command == "svg":
-            _emit(svg_text(doc), args.output)
-        elif args.command == "check":
+        if args.command == "check":
             lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" ({c.detail})" if c.detail else "")
                      for c in results]
             failed = sum(not c.passed for c in results)
             lines.append(f"{len(results) - failed}/{len(results)} checks passed")
             _emit("\n".join(lines), args.output)
-            if failed:
-                return 2
+            return 2 if failed else 0
+        if args.svg:  # analyze only
+            render_svg(doc, args.svg)
+        if args.command == "level":  # the level section alone, in either format
+            doc = dataclasses.replace(doc, sublevel_bars=[])
+        if args.command == "svg":
+            _emit(svg_text(doc), args.output)
+        elif args.format == "csv":
+            _emit(numbers_to_csv(doc) if args.command == "numbers" else result_to_csv(doc), args.output)
+        elif args.command == "analyze":
+            _emit(doc.to_json(), args.output)
+        else:  # sublevel, level or numbers: the criticals and one section
+            section = {"sublevel": "sublevel_bars", "level": "level_bars", "numbers": "numbers"}[args.command]
+            _emit(json_text({"criticals": doc.criticals, section: getattr(doc, section)}), args.output)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -4,10 +4,12 @@ The level barcode of a PL vertex map is its extended persistence
 (Cohen-Steiner, Edelsbrunner and Harer 2009; Carlsson, de Silva and
 Morozov 2009): level_barcode reads all four bar kinds off one column
 reduction of the cone over the complex, whose columns are the lower-star
-filtration followed by the cone over the upper-star filtration.  The
-bar routes take only their input: level_barcode(f) returns every degree
-over the grid critical_values(f), and sublevel_from_level(bc) maps every
-bar of bc over bc.grid; a caller that wants fewer degrees cuts the bars.
+filtration of f followed by the cone over the upper-star filtration.
+The upper-star order of f is the lower-star order of -f, so both halves
+are lower_star_boundary columns, of f and of -f.  The bar routes take
+only their input: level_barcode(f) returns every degree over the grid
+critical_values(f), and sublevel_from_level(bc) maps every bar of bc
+over bc.grid; a caller that wants fewer degrees cuts the bars.
 
 The level bars also determine five families of numbers per homology
 degree, indexed over the grid of critical and regular values:
@@ -166,9 +168,11 @@ def level_barcode(f: VertexValuedMap) -> LevelBarcode:
 
     Columns are the cone point w, then the simplices of K in lower-star
     order, then the cones w*s in descending upper-star order, sorted by
-    (-min value, dimension, lexicographic); the boundary of w*s is
-    s + w*(boundary of s), and that of w*v is v + w.  A pair born at
-    value a and killed at value b reads as:
+    (-min value, dimension, lexicographic): that is the lower-star order
+    of -f, so both halves come from lower_star_boundary, of f and of -f.
+    The boundary of w*s is s + w*(boundary of s), where w*(boundary of
+    s) is the boundary column of s under -f shifted below K, and that of
+    w*v is v + w.  A pair born at value a and killed at value b reads as:
 
     * both in K (ordinary): [a, b) in the birth degree r, if a != b;
     * born in K, killed in the cone (extended): [a, b] in degree r if
@@ -181,25 +185,17 @@ def level_barcode(f: VertexValuedMap) -> LevelBarcode:
     complex dimension: a caller that wants fewer degrees cuts the bars.
     """
     lower, index, boundary = lower_star_boundary(f)
-    value = f.values.__getitem__
-    upper = [(-min(map(value, s)), len(s), s) for s in f.complex.simplices]
-    upper.sort()
-    for i, (x, _, s) in enumerate(upper):  # in place, as in lower_star_filtration
-        upper[i] = (s, -x)
+    upper, _, cones = lower_star_boundary(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))
     n = len(lower)
-    cone_row = {s: 1 + n + i for i, (s, _) in enumerate(upper)}
-    columns = [0] + [bits << 1 for bits in boundary]  # row 0 is the cone point
-    for s, _ in upper:
-        bits = 2 << index[s]  # s sits one row below the cone point
-        if len(s) == 1:
-            bits |= 1
-        else:
-            for i in range(len(s)):
-                bits |= 1 << cone_row[s[:i] + s[i + 1:]]
-        columns.append(bits)
-    pairs, _ = column_reduce(BitMatrix.from_bits(columns, len(columns)))
+    # in place, so that each column is freed as its shifted copy is made
+    for i, bits in enumerate(boundary):
+        boundary[i] = bits << 1  # row 0 is the cone point
+    for i, (s, _) in enumerate(upper):  # w*s: w*(facets of s) n + 1 rows down, s below w, and w for a vertex
+        cones[i] = cones[i] << n + 1 | 2 << index[s] | (len(s) == 1)
+    pairs, _ = column_reduce(BitMatrix.from_bits([0, *boundary, *cones], 2 * n + 1))
 
-    entries = [((), 0.0)] + lower + upper  # column -> (simplex, value)
+    # column -> (simplex, value); a cone column's value is min f, read back as 0.0 - x so 0.0 stays 0.0
+    entries = [((), 0.0)] + lower + [(s, 0.0 - x) for s, x in upper]
     counts: dict[LevelBar, int] = {}
     for i, j in pairs:
         if i == 0:
@@ -214,7 +210,7 @@ def level_barcode(f: VertexValuedMap) -> LevelBarcode:
             bar = LevelBar(r, b, a, False, True) if a != b else None
         if bar is not None:
             counts[bar] = counts.get(bar, 0) + 1
-    _log.debug("cone reduction: %d simplices, %d cone columns, %d pairs", n, len(columns), len(pairs))
+    _log.debug("cone reduction: %d simplices, %d cone columns, %d pairs", n, 2 * n + 1, len(pairs))
     return LevelBarcode(critical_values(f), counts)
 
 

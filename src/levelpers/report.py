@@ -299,7 +299,9 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     value moves to a float next to the slice value; a gap that holds no
     other float, or a span too narrow for its cut, is skipped, and the
     check's detail counts the probes made ("P of N gaps probed; K hold
-    no other float", "R of N spans refined; K too narrow to cut").
+    no other float", "R of N spans refined; K too narrow to cut").  A
+    check that raises fails with the message as its detail, except for
+    MemoryError, which propagates: running out is not a failed check.
     """
     if not f.complex.simplices:
         return []
@@ -312,6 +314,8 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         try:
             detail = fn() or ""
             results.append(CheckResult(name, True, detail))
+        except MemoryError:
+            raise
         except Exception as exc:
             results.append(CheckResult(name, False, str(exc)))
 

@@ -6,10 +6,12 @@ counted from bars by interval containment, and bar multiplicities are
 recovered from the Betti numbers by one inclusion-exclusion over
 consecutive critical values.  sublevel_barcode(f) takes only the map
 and returns every degree over the grid critical_values(f).
-lower_star_boundary builds the boundary matrix for both reductions;
-level_barcode shifts it one row down, below the cone point.  analyze
-reads the sub-level bars off the cone instead (sublevel_from_level),
-and check compares them with sublevel_barcode.
+lower_star_boundary builds the boundary matrix for this reduction and
+both halves of the cone: level_barcode shifts the columns of f one row
+down, below the cone point, and those of -f below K, as the cones over
+the upper-star filtration.  analyze reads the sub-level bars off the
+cone instead (sublevel_from_level), and check compares them with
+sublevel_barcode.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,58 @@ def test_cli_unknown_flag_exits_one(circle_path, capsys):
         main(["analyze", "--input", str(circle_path), "--bogus"])
     assert exc.value.code == 1
     assert "usage" in capsys.readouterr().err
+
+
+def exhaust(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("numbers", "cli", "parse_input"),        # reading
+    ("analyze", "cli", "analyze"),            # computing
+    ("sublevel", "report", "analyze_sublevel"),
+    ("check", "report", "run_checks"),
+    ("svg", "cli", "_emit"),                  # writing
+])
+def test_out_of_memory_is_one_line(command, module, name, monkeypatch, circle_path, capsys):
+    import levelpers.cli as cli
+    import levelpers.report as report
+
+    monkeypatch.setattr({"cli": cli, "report": report}[module], name, exhaust)
+    assert main([command, "--input", str(circle_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: out of memory during {command}\n")
+
+
+def test_out_of_memory_in_a_check_is_not_a_failed_check(monkeypatch, circle_path, capsys):
+    import levelpers.report as report
+
+    monkeypatch.setattr(report, "bars_from_betti", exhaust)
+    with pytest.raises(MemoryError):
+        report.run_checks(make_square_circle())
+    assert main(["check", "--input", str(circle_path)]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory during check\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_out_of_memory_under_an_address_cap(circle_path, tmp_path):
+    # the child caps its own address space at 200 MB: the square circle fits,
+    # the number tables of a 700-vertex circle do not
+    values = list(range(700))
+    random.Random(0).shuffle(values)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
+                               "maximal_simplices": [[i, (i + 1) % 700] for i in range(700)]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+        from levelpers.cli import main
+        sys.exit(main(["analyze", "--input", sys.argv[1], "--output", sys.argv[2]]))
+    """
+    runs = [subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out.json")],
+                           env=env, capture_output=True, text=True, timeout=60) for path in (circle_path, big)]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (1, "error: out of memory during analyze\n")]
 
 
 def test_cli_svg_and_outputs(circle_path, tmp_path, capsys):

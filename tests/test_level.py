@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,12 @@ from levelpers import (
     sublevel_from_level,
     VertexValuedMap,
 )
+from levelpers.report import input_to_map, parse_input
 from levelpers.sublevel import INF
-from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map
+from conftest import (FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map,
+                      seeded_telescopes)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def bars_of(bc):
@@ -337,6 +342,30 @@ def test_non_critical_endpoint_message(bar, text):
     with pytest.raises(ValueError) as exc:
         LevelBarcode(grid, {LevelBar(0, 0.0, 1.0, True, True): 1, bar: 2})
     assert str(exc.value) == f"bar {text} has a non-critical endpoint"
+
+
+def mirrored(bc):
+    """The bars of bc reflected through 0, each end keeping its flag: [a, b) becomes (-b, -a]."""
+    return {LevelBar(b.degree, 0.0 - b.right, 0.0 - b.left, b.right_closed, b.left_closed): m
+            for b, m in bc.counts.items()}
+
+
+def test_negation_mirrors_the_level_bars(monkeypatch):
+    # the cone's upper half is the lower-star boundary of -f, so the bars
+    # of f and of -f pin both halves; no end at zero reads -0.0
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rng = np.random.default_rng(2023)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(260)]
+    maps += seeded_telescopes(20, 2024)
+    maps += [input_to_map(parse_input(job.input_text())) for job in workloads.make_jobs("level-small", 0)]
+    for f in maps:
+        bc = level_barcode(f)
+        neg = level_barcode(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))
+        assert neg.counts == mirrored(bc)
+        ends = [x for b in [*bc.counts, *neg.counts] for x in (b.left, b.right)]
+        assert all(math.copysign(1.0, x) == 1.0 for x in ends if x == 0.0)
 
 
 def test_readme_library_example_runs_as_printed():

@@ -106,6 +106,8 @@ def _run(args) -> int:
                                         seed=args.seed)
         elif args.command == "sublevel":  # one lower-star reduction: no cone, numbers or conversions
             doc = report.analyze_sublevel(parsed)
+        elif args.command in ("level", "svg"):  # the bars alone: no numbers or conversions
+            doc = report.analyze_level(parsed, max_degree=args.max_degree)
         else:
             doc = analyze(parsed, max_degree=args.max_degree)
     except ValueError as exc:  # InputError included; a RuntimeError stays a traceback

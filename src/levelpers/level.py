@@ -335,8 +335,11 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
 
     builder (default: a new one) must be a SlabBuilder of f; passing
     the same builder to several calls on one map, as run_checks does,
-    builds each level and band complex and its homology once.  Every
-    number is still computed from the complexes.
+    builds each level and band complex and its homology once, and
+    reduces each level-to-band map once: a band keeps, per degree, the
+    overlap and the two kernels of its pair, so a later call on a wider
+    grid or more degrees reduces only the pairs and degrees it has not
+    seen.  Every number is still computed from the complexes.
     """
     if builder is None:
         builder = SlabBuilder(f)
@@ -364,14 +367,19 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
             if not needed:
                 continue
             band = builder.interlevel(x, pts[j])
-            inc_x = include_level(levels[i], band)
-            inc_y = include_level(levels[j], band)
-            for r in needed:
+            known = band._pairs  # per degree: the overlap and the two kernels of this pair, once reduced
+            missing = [r for r in needed if r not in known]
+            if missing:
+                inc_x = include_level(levels[i], band)
+                inc_y = include_level(levels[j], band)
+            for r in missing:
                 target = homology_of(band, r)
                 from_low = induced_map(presentations[i][r], target, inc_x.chain_matrix(r))
                 from_high = induced_map(presentations[j][r], target, inc_y.chain_matrix(r))
-                overlap[r][i][j - i] = intersection_dim(image_basis(from_low), image_basis(from_high))
-                ker_low, ker_high = kernel_basis(from_low), kernel_basis(from_high)
+                known[r] = (intersection_dim(image_basis(from_low), image_basis(from_high)),
+                            kernel_basis(from_low), kernel_basis(from_high))
+            for r in needed:
+                overlap[r][i][j - i], ker_low, ker_high = known[r]
                 up[r][i][j - i] = ker_low.dim
                 down[r][j][i] = ker_high.dim
                 if ker_low.dim:

@@ -41,6 +41,7 @@ __all__ = [
     "parse_input",
     "input_to_map",
     "analyze",
+    "analyze_level",
     "analyze_sublevel",
     "run_checks",
     "render_svg",
@@ -514,6 +515,22 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
         level_bars=_level_rows(bc),
         numbers=_number_rows(nums, grid),
     )
+
+
+def analyze_level(parsed, *, max_degree: int | None = None) -> ResultDocument:
+    """The bars alone, as analyze gives them: the level bars of the one
+    reduction of the cone in degrees up to min(max_degree, dim), and
+    every sub-level bar read off the uncut level bars
+    (sublevel_from_level).  No numbers and no conversions are computed,
+    so the document's numbers are empty."""
+    f = input_to_map(parsed)
+    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
+    if not f.complex.simplices:
+        return ResultDocument([], requested, [], [], {})
+    full = level_barcode(f)
+    bc = _up_to(full, min(requested, f.complex.dim))
+    return ResultDocument([fmt_value(t) for t in full.grid.criticals], requested,
+                          _sublevel_rows(sublevel_from_level(full)), _level_rows(bc), {})
 
 
 def analyze_sublevel(parsed) -> ResultDocument:

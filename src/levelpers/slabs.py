@@ -17,17 +17,30 @@ only in the face of its vertices at the end value it touches, a constant
 slice cell, or not at all.  No vertex value lies strictly inside a slab
 by construction.  The boundary of a cell is the rule applied to each
 nonempty facet of its carrier, plus, for a slab, to the carrier at the
-two end slices, kept at codimension one; every constructed complex
-asserts that the boundary squares to zero.
+two end slices, kept at codimension one.
+
+A builder makes the cells of each slice and slab once, as a Chunk: its
+cells grouped by dimension, each group sorted by carrier.  It checks
+each chunk once, when it is made, against its own cells and, for a
+slab, its two end slices: every face is present one dimension down,
+every slice cell sits at the chunk's value, and the boundary squares to
+zero.  A complex is the disjoint union of its chunks, the boundary of a
+cell lies in its own chunk or, for a slab cell, in the two end slices,
+and every complex that holds a slab holds both of them, so these checks
+cover every complex built from the chunks.  A complex is assembled from
+checked chunks in (lo, hi) order, slice s0, slab (s0, s1), slice s1,
+..., which within each dimension is the (lo, hi, carrier) order of its
+cells, so it needs no sort and no check of its own; validate(c) still
+checks a whole complex.
 
 SlabBuilder(f).interlevel(*values) builds every complex: it slices
 [values[0], values[-1]] at every given value and at every vertex value
 in between, so one value gives a level, two a band and more a refined
-band; level(t) is interlevel(t).  A builder memoizes the cells of each
+band; level(t) is interlevel(t).  A builder memoizes the chunk of each
 slice and slab and, in one dict keyed by the values with repeats
 merged, every complex it has built; each complex caches its homology
 presentations, so one builder shared by all the computations on one
-map builds, validates and reduces each complex once.
+map builds, checks and reduces each complex once.
 include_level reads the level value and the interval off the two
 complexes it is given.  A Cell is a named tuple, so hashing it runs in
 C; as a tuple it also equals the plain (carrier, lo, hi) tuple with the
@@ -46,6 +59,7 @@ from .gf2 import BitMatrix, HomologyPresentation, homology_presentation
 __all__ = [
     "Cell",
     "CellComplex",
+    "Chunk",
     "InclusionMap",
     "SlabBuilder",
     "include_level",
@@ -74,22 +88,41 @@ class Cell(NamedTuple):
         return f"Cell({','.join(map(str, self.carrier))}{span})"
 
 
-class CellComplex:
-    """Graded cells with a Z2 boundary map; validated at construction."""
+class Chunk(NamedTuple):
+    """The cells of one slice or slab: by dimension, each list sorted by
+    carrier, with their dimensions and boundaries."""
 
-    def __init__(self, dims: dict[Cell, int], boundary: dict[Cell, frozenset[Cell]],
-                 slice_values: tuple[float, ...]) -> None:
-        self.dims = dict(dims)
-        self.boundary = {c: frozenset(boundary.get(c, ())) for c in self.dims}
+    by_dim: dict[int, list[Cell]]
+    dims: dict[Cell, int]
+    boundary: dict[Cell, frozenset[Cell]]
+
+
+class CellComplex:
+    """Graded cells with a Z2 boundary map, assembled from checked chunks.
+
+    chunks come in (lo, hi) order, each checked by the builder that made
+    it, so the constructor neither sorts nor checks: each dimension's
+    cells come out in (lo, hi, carrier) order, and a cell's index is its
+    chunk's offset in that dimension plus its place in the chunk.
+    """
+
+    def __init__(self, chunks: list[Chunk], slice_values: tuple[float, ...]) -> None:
+        self.dims: dict[Cell, int] = {}
+        self.boundary: dict[Cell, frozenset[Cell]] = {}
         self.slice_values = tuple(slice_values)
-        self.cells = sorted(self.dims, key=lambda c: (self.dims[c], c.lo, c.hi, c.carrier))
         self._by_dim: dict[int, list[Cell]] = {}
-        for c in self.cells:
-            self._by_dim.setdefault(self.dims[c], []).append(c)
-        self._index = {c: i for cells in self._by_dim.values() for i, c in enumerate(cells)}
+        self._index: dict[Cell, int] = {}
+        for chunk in chunks:
+            self.dims.update(chunk.dims)
+            self.boundary.update(chunk.boundary)
+            for d, cells in chunk.by_dim.items():
+                group = self._by_dim.setdefault(d, [])
+                self._index.update(zip(cells, range(len(group), len(group) + len(cells))))
+                group += cells
+        self.cells = [c for d in range(self.max_dim + 1) for c in self.cells_of_dim(d)]
         self._bmat: dict[int, BitMatrix] = {}
         self._hom: dict[int, HomologyPresentation] = {}
-        validate(self)
+        self._pairs: dict[int, tuple] = {}  # compute_relevant_numbers' results for this band, per degree
 
     @property
     def max_dim(self) -> int:
@@ -126,18 +159,27 @@ class CellComplex:
 
 def validate(c: CellComplex) -> None:
     """Assert facet-dimension consistency and that the boundary squares to zero."""
-    for cell, d in c.dims.items():
-        for t in c.boundary[cell]:
-            if t not in c.dims:
+    _check(c.dims, c.dims, c.boundary, c.slice_values)
+
+
+def _check(cells, dims: dict[Cell, int], boundary: dict[Cell, frozenset[Cell]], slice_values) -> None:
+    """Raise ValueError unless each of cells has its faces in dims, one
+    dimension down, lies at one of slice_values if it is a slice cell,
+    and has a boundary that squares to zero; dims and boundary cover the
+    cells and their faces."""
+    for cell in cells:
+        d = dims[cell]
+        for t in boundary[cell]:
+            if t not in dims:
                 raise ValueError(f"boundary of {cell} references missing cell {t}")
-            if c.dims[t] != d - 1:
-                raise ValueError(f"boundary of {cell} contains {t} of dimension {c.dims[t]}, expected {d - 1}")
-        if cell.is_slice and cell.lo not in c.slice_values:
+            if dims[t] != d - 1:
+                raise ValueError(f"boundary of {cell} contains {t} of dimension {dims[t]}, expected {d - 1}")
+        if cell.is_slice and cell.lo not in slice_values:
             raise ValueError(f"slice cell {cell} lies outside the slice set")
-    for cell in c.dims:
+    for cell in cells:
         chain: set[Cell] = set()
-        for t in c.boundary[cell]:
-            chain ^= c.boundary[t]
+        for t in boundary[cell]:
+            chain ^= boundary[t]
         if chain:
             raise ValueError(f"boundary of boundary is nonzero for {cell}: {sorted(chain, key=repr)}")
 
@@ -146,8 +188,8 @@ class SlabBuilder:
     """Builds level and interlevel complexes of one map.
 
     Reads the value span (min, max) of every simplex once, and memoizes
-    the cells of each slice and slab, which are shared verbatim between
-    every complex that uses them, and every complex it builds.
+    the checked chunk of each slice and slab, which is shared verbatim
+    between every complex that uses it, and every complex it builds.
     """
 
     def __init__(self, f: VertexValuedMap) -> None:
@@ -155,7 +197,7 @@ class SlabBuilder:
         self._values = sorted(set(f.values[v] for v in f.complex.vertices))
         value = f.values.__getitem__
         self._span = {s: (min(map(value, s)), max(map(value, s))) for s in f.complex.simplices}
-        self._chunks: dict[tuple[float, float], tuple[dict, dict]] = {}
+        self._chunks: dict[tuple[float, float], Chunk] = {}
         self._complexes: dict[tuple[float, ...], CellComplex] = {}
 
     def _cell(self, simplex: Simplex, lo: float, hi: float) -> tuple[Cell, int] | None:
@@ -173,8 +215,8 @@ class SlabBuilder:
         face = tuple(v for v in simplex if self.f.values[v] == s)
         return Cell(face, s, s), len(face) - 1
 
-    def _chunk(self, lo: float, hi: float) -> tuple[dict, dict]:
-        """The cells of one slice or slab, with their dimensions and boundaries."""
+    def _chunk(self, lo: float, hi: float) -> Chunk:
+        """The cells of one slice or slab, made and checked on first use."""
         key = (lo, hi)
         if key not in self._chunks:
             dims: dict[Cell, int] = {}
@@ -182,14 +224,23 @@ class SlabBuilder:
                 met = self._cell(simplex, lo, hi)
                 if met is not None and met[0] == (simplex, lo, hi):  # its own cell, not a face's
                     dims[met[0]] = met[1]
+            by_dim: dict[int, list[Cell]] = {}
             boundary = {}
-            for cell, d in dims.items():
+            for cell in sorted(dims):  # by carrier: lo and hi are the chunk's own
+                d = dims[cell]
+                by_dim.setdefault(d, []).append(cell)
                 faces = {self._cell(t, lo, hi) for t in facets(cell.carrier) if t}
                 if lo < hi:
                     faces |= {self._cell(cell.carrier, lo, lo), self._cell(cell.carrier, hi, hi)}
                 faces.discard(None)
                 boundary[cell] = frozenset(t for t, td in faces if td == d - 1)
-            self._chunks[key] = (dims, boundary)
+            near_dims, near_boundary = dims, boundary
+            if lo < hi:  # a slab cell's faces lie in the slab or in its two end slices
+                ends = self._chunk(lo, lo), self._chunk(hi, hi)
+                near_dims = {**ends[0].dims, **dims, **ends[1].dims}
+                near_boundary = {**ends[0].boundary, **boundary, **ends[1].boundary}
+            _check(dims, near_dims, near_boundary, key)
+            self._chunks[key] = Chunk(by_dim, dims, boundary)
         return self._chunks[key]
 
     def level(self, t: float) -> CellComplex:
@@ -206,13 +257,10 @@ class SlabBuilder:
         if key not in self._complexes:
             inside = self._values[bisect.bisect_right(self._values, key[0]):bisect.bisect_left(self._values, key[-1])]
             slices = sorted({*key, *inside})
-            dims: dict[Cell, int] = {}
-            boundary: dict[Cell, frozenset[Cell]] = {}
-            for lo, hi in [(s, s) for s in slices] + list(zip(slices, slices[1:])):
-                d, bd = self._chunk(lo, hi)
-                dims.update(d)
-                boundary.update(bd)
-            self._complexes[key] = CellComplex(dims, boundary, tuple(slices))
+            chunks = [self._chunk(slices[0], slices[0])]
+            for lo, hi in zip(slices, slices[1:]):  # slice s0, slab (s0, s1), slice s1, ...
+                chunks += (self._chunk(lo, hi), self._chunk(hi, hi))
+            self._complexes[key] = CellComplex(chunks, tuple(slices))
         return self._complexes[key]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
 from .gf2 import BitMatrix, column_reduce
@@ -140,14 +141,29 @@ class BettiTable:
 
     @classmethod
     def from_barcode(cls, bc: SublevelBarcode) -> "BettiTable":
+        """Every beta(r, t, t2) of betti_from_bars, one row per t from
+        running counts: the bars born at or before t, by the position of
+        their death; summed from the last death down, they give the row
+        in O(P), so the table costs O(P^2 + B) per degree for P
+        critical values and B bars."""
         degs = tuple(bc.degrees())
         T = bc.grid.criticals
+        P = len(T)
+        at = {t: k for k, t in enumerate(T)}
+        at[INF] = P
+        born: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (r, birth, death), mult in bc.bars.items():
+            born.setdefault((r, at[birth]), []).append((at[death], mult))
         beta: dict[tuple[int, float, float], int] = {}
         for r in degs:
+            count = [0] * (P + 1)  # bars of degree r born so far, by the position of their death (P: infinite)
             for i, t in enumerate(T):
-                for t2 in T[i:]:
-                    beta[(r, t, t2)] = betti_from_bars(bc, r, t, t2)
-                beta[(r, t, INF)] = betti_from_bars(bc, r, t, INF)
+                for d, mult in born.get((r, i), ()):
+                    count[d] += mult
+                alive = list(accumulate(reversed(count)))  # alive[m]: those dying at P - m or later
+                for j in range(i, P):  # a bar contains [t, T[j]] iff it dies after T[j]
+                    beta[(r, t, T[j])] = alive[P - 1 - j]
+                beta[(r, t, INF)] = count[P]
         return cls(bc.grid, degs, beta)
 
 

@@ -421,6 +421,38 @@ def test_sublevel_runs_no_cone(monkeypatch, circle_path, tmp_path, capsys):
     assert expected[2] == '{\n  "criticals": [],\n  "sublevel_bars": []\n}\n'
 
 
+def test_level_and_svg_compute_no_numbers(monkeypatch, circle_path, tmp_path, capsys):
+    import levelpers.cli as cli
+    import levelpers.report as report
+
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "maximal_simplices": []}')
+    filtration = tmp_path / "filtration.json"
+    filtration.write_text(FILTRATION_DOC)
+    octahedron = tmp_path / "octahedron.json"
+    f = make_octahedron()
+    octahedron.write_text(json.dumps({"vertices": [{"id": v, "value": f.values[v]} for v in f.complex.vertices],
+                                      "maximal_simplices": [list(s) for s in f.complex.simplices]}))
+    runs, expected = [], []
+    for path in (circle_path, empty, filtration, octahedron):  # the bar sections of analyze
+        for degree in ([], ["--max-degree", "0"]):
+            doc = analyze(parse_input(path.read_text()), max_degree=int(degree[1]) if degree else None)
+            runs += [["level", "--input", str(path), *degree, "--format", fmt] for fmt in ("json", "csv")]
+            runs.append(["svg", "--input", str(path), *degree])
+            expected += [json_text({"criticals": doc.criticals, "level_bars": doc.level_bars}) + "\n",
+                         result_to_csv(dataclasses.replace(doc, sublevel_bars=[])), svg_text(doc)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("level or svg ran the number tables or a conversion")
+
+    for module, name in ((cli, "analyze"), (report, "analyze"), (report, "numbers_from_barcode"),
+                         (report, "barcode_from_overlaps"), (report, "barcode_from_kernels")):
+        monkeypatch.setattr(module, name, refuse)
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("stage, message", [
     (["12"], "expected a non-empty list of vertex ids"),
     ([[0, "3"]], "vertex ids must be integers"),
@@ -484,26 +516,49 @@ def test_out_of_memory_in_a_check_is_not_a_failed_check(monkeypatch, circle_path
     assert capsys.readouterr() == ("", "error: out of memory during check\n")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
-def test_out_of_memory_under_an_address_cap(circle_path, tmp_path):
-    # the child caps its own address space at 200 MB: the square circle fits,
-    # the number tables of a 700-vertex circle do not
-    values = list(range(700))
-    random.Random(0).shuffle(values)
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
-                               "maximal_simplices": [[i, (i + 1) % 700] for i in range(700)]}))
+def capped_runs(argvs):
+    """Each argv of main run in a child process that caps its own address space at 200 MB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """if True:
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
         from levelpers.cli import main
-        sys.exit(main(["analyze", "--input", sys.argv[1], "--output", sys.argv[2]]))
+        sys.exit(main(sys.argv[1:]))
     """
-    runs = [subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out.json")],
-                           env=env, capture_output=True, text=True, timeout=60) for path in (circle_path, big)]
-    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (1, "error: out of memory during analyze\n")]
+    runs = [subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                           timeout=60) for argv in argvs]
+    return [(run.returncode, run.stderr) for run in runs]
+
+
+def big_circle(tmp_path) -> Path:
+    """A 700-vertex circle with distinct values in a seeded order."""
+    values = list(range(700))
+    random.Random(0).shuffle(values)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": [{"id": i, "value": v} for i, v in enumerate(values)],
+                               "maximal_simplices": [[i, (i + 1) % 700] for i in range(700)]}))
+    return big
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_out_of_memory_under_an_address_cap(circle_path, tmp_path):
+    # the square circle fits under the cap, the number tables of a 700-vertex circle do not
+    out = str(tmp_path / "out.json")
+    argvs = [["analyze", "--input", str(path), "--output", out] for path in (circle_path, big_circle(tmp_path))]
+    assert capped_runs(argvs) == [(0, ""), (1, "error: out of memory during analyze\n")]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_level_and_svg_fit_under_an_address_cap(tmp_path):
+    # the bars of the 700-vertex circle need no number tables
+    big = str(big_circle(tmp_path))
+    argvs = [["level", "--input", big, "--output", str(tmp_path / "level.json")],
+             ["svg", "--input", big, "--output", str(tmp_path / "bars.svg")]]
+    assert capped_runs(argvs) == [(0, ""), (0, "")]
+    level = json.loads((tmp_path / "level.json").read_text())
+    assert len(level["criticals"]) == 700 and level["level_bars"]
+    assert (tmp_path / "bars.svg").read_text().endswith("</svg>\n")
 
 
 def test_cli_svg_and_outputs(circle_path, tmp_path, capsys):

@@ -24,6 +24,7 @@ from levelpers import (
     column_reduce,
     compute_relevant_numbers,
     critical_values,
+    homology_of,
     level_barcode,
     lower_star_filtration,
     numbers_from_barcode,
@@ -270,9 +271,9 @@ def count_constructions(monkeypatch):
         builders.append(f)
         builder_init(self, f)
 
-    def counting_complex(self, dims, boundary, slice_values):
+    def counting_complex(self, chunks, slice_values):
         complexes.append(tuple(slice_values))
-        complex_init(self, dims, boundary, slice_values)
+        complex_init(self, chunks, slice_values)
 
     monkeypatch.setattr(SlabBuilder, "__init__", counting_builder)
     monkeypatch.setattr(CellComplex, "__init__", counting_complex)
@@ -303,6 +304,61 @@ def test_shared_builder_gives_the_same_numbers(monkeypatch):
         assert compute_relevant_numbers(f, builder=builder) == first
         assert complexes == []
         monkeypatch.undo()
+
+
+def test_widened_grid_reduces_only_the_pairs_at_its_new_values(monkeypatch):
+    # redundant_critical_invariance reruns the band route with one more critical value
+    import levelpers.level as level
+
+    induced_map = level.induced_map
+    widened = []  # per widened call: (grid, builder, the targets of its induced_map calls)
+    current = []  # the targets of the widened call under way
+
+    def numbers(f, max_degree=None, *, grid=None, builder=None):
+        if grid is None:
+            return compute_relevant_numbers(f, max_degree, builder=builder)
+        widened.append((grid, builder, []))
+        current.append(widened[-1][2])
+        try:
+            return compute_relevant_numbers(f, max_degree, grid=grid, builder=builder)
+        finally:
+            current.pop()
+
+    def counting(source, target, chain):
+        if current:
+            current[-1].append(target)
+        return induced_map(source, target, chain)
+
+    monkeypatch.setattr(report, "compute_relevant_numbers", numbers)
+    monkeypatch.setattr(level, "induced_map", counting)
+    rng = np.random.default_rng(52)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(20)]
+    reduced = 0
+    for f in maps + seeded_grids(3, 53):
+        widened.clear()
+        results = {c.name: c for c in report.run_checks(f)}
+        assert results["redundant_critical_invariance"].passed
+        if not results["redundant_critical_invariance"].detail.startswith("probe at"):
+            assert widened == []
+            continue
+        ((wide, builder, targets),) = widened
+        old = set(grid_values(critical_values(f)))
+        pts = grid_values(wide)
+        band_of = {id(c._hom[r]): c.slice_values for c in builder._complexes.values() for r in c._hom}
+        expected = 0
+        for i, x in enumerate(pts):
+            for y in pts[i + 1:]:
+                if x in old and y in old:
+                    continue
+                ends = builder.level(x), builder.level(y)
+                expected += 2 * sum(1 for r in range(f.complex.dim + 1)
+                                    if any(homology_of(c, r).betti for c in ends))
+        assert len(targets) == expected
+        for target in targets:
+            ends = band_of[id(target)][0], band_of[id(target)][-1]
+            assert not {*ends} <= old  # every reduced pair holds a new value
+        reduced += len(targets)
+    assert reduced > 100
 
 
 def test_builder_of_another_map_is_refused(square_circle, v_map):

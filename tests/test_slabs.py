@@ -205,6 +205,84 @@ def test_one_constructor_for_levels_bands_and_refined_bands(square_circle):
         builder.interlevel()
 
 
+def assembled(f, rng):
+    """A builder of f after it has built every level at a grid value, every
+    band between two of them and one refined band per start."""
+    builder = SlabBuilder(f)
+    pts = grid_values(critical_values(f))
+    for i, a in enumerate(pts):
+        builder.level(a)
+        for b in pts[i + 1:]:
+            builder.interlevel(a, b)
+        if i + 1 < len(pts):
+            builder.interlevel(a, float(rng.uniform(a, pts[i + 1])), pts[-1])
+    return builder
+
+
+def test_assembled_complexes_keep_the_sorted_order():
+    # chunks concatenated in (lo, hi) order give the old sort by (dim, lo, hi, carrier)
+    rng = np.random.default_rng(24)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(60)]
+    built = 0
+    for f in maps + seeded_telescopes(10, 2424):
+        builder = assembled(f, rng)
+        for c in builder._complexes.values():
+            order = sorted(c.dims, key=lambda cell: (c.dims[cell], cell.lo, cell.hi, cell.carrier))
+            assert c.cells == order
+            for d in range(-1, f.complex.dim + 2):
+                group = [cell for cell in order if c.dims[cell] == d]
+                assert c.cells_of_dim(d) == group
+                assert [c.index_in_dim(cell) for cell in group] == list(range(len(group)))
+            validate(c)
+            built += 1
+    assert built > 3000
+
+
+def test_each_chunk_is_checked_once_and_no_complex_is(monkeypatch):
+    import levelpers.slabs as slabs
+
+    checked = []
+    check = slabs._check
+
+    def counting(cells, dims, boundary, slice_values):
+        checked.append(tuple(slice_values))
+        check(cells, dims, boundary, slice_values)
+
+    def refuse(c):
+        raise AssertionError("a complex was validated as a whole")
+
+    monkeypatch.setattr(slabs, "_check", counting)
+    monkeypatch.setattr(slabs, "validate", refuse)
+    rng = np.random.default_rng(25)
+    for f in [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(10)]:
+        checked.clear()
+        builder = assembled(f, rng)
+        assert sorted(checked) == sorted(builder._chunks)  # each chunk once, keyed by (lo, hi)
+        for c in list(builder._complexes.values()):  # a new complex where c was sliced inside, from old chunks
+            builder.interlevel(*c.slice_values)
+        assert sorted(checked) == sorted(builder._chunks)
+
+
+def test_a_slab_cell_missing_a_face_is_refused_where_it_is_first_used(octahedron, monkeypatch):
+    import levelpers.slabs as slabs
+
+    # the triangle (0, 2, 3) spans [-1, 0] and meets neither end slice in a cell of its own;
+    # its slab cell loses the slab edge (0, 2), which no end slice puts back
+    def lose_a_face(simplex):
+        faces = facets(simplex)
+        return [t for t in faces if t != (0, 2)] if simplex == (0, 2, 3) else faces
+
+    monkeypatch.setattr(slabs, "facets", lose_a_face)
+    builder = SlabBuilder(octahedron)
+    assert betti_numbers(builder.level(-1.0)) == (1,) and betti_numbers(builder.level(0.0)) == (1, 1)
+    for _ in range(2):  # a refused chunk is not kept
+        with pytest.raises(ValueError, match=r"boundary of boundary is nonzero for Cell\(0,2,3@\[-1.0,0.0\]\)"):
+            builder.interlevel(-1.0, 0.0)
+    assert (-1.0, 0.0) not in builder._chunks
+    monkeypatch.undo()
+    assert betti_numbers(SlabBuilder(octahedron).interlevel(-1.0, 0.0)) == (1, 0, 0)
+
+
 def test_cell_interface():
     cell = Cell((0, 2), 0.5, 1.5)
     assert (cell.carrier, cell.lo, cell.hi) == ((0, 2), 0.5, 1.5)

@@ -79,6 +79,19 @@ def test_bars_from_betti_round_trip_random():
         assert bars_from_betti(BettiTable.from_barcode(bc)) == bc
 
 
+def test_betti_table_matches_the_per_bar_count(fixture_maps):
+    # the running sums of from_barcode against betti_from_bars, a loop over every bar, at every key
+    rng = np.random.default_rng(34)
+    maps = list(fixture_maps.values()) + [random_vertex_map(rng) for _ in range(60)]
+    for f in maps:
+        bc = sublevel_barcode(f)
+        table = BettiTable.from_barcode(bc)
+        T = bc.grid.criticals
+        keys = [(r, t, t2) for r in bc.degrees() for i, t in enumerate(T) for t2 in T[i:] + (INF,)]
+        assert list(table.beta) == keys
+        assert table.beta == {key: betti_from_bars(bc, *key) for key in keys}, f
+
+
 def test_bars_from_betti_single_point():
     f = VertexValuedMap(build_complex([[0]]), {0: 0.0})
     bc = sublevel_barcode(f)

@@ -35,11 +35,14 @@ lie in a range, the rank function read as a count of diagram points
 four tables as dense arrays per degree over the grid positions (2k for
 the k-th critical value, 2k + 1 for the gap above it): level_rank(t) is
 image_overlap(t, t), the diagonal of the overlap table.  Its one
-constructor takes the arrays as they are stored.  Both routes write the
-arrays by position: numbers_from_barcode fills them with running sums
-of bar-end counts; compute_relevant_numbers computes them directly,
-band by band, from level and interlevel cell complexes, independent of
-the cone reduction, and serves as its oracle in the checks and tests.
+constructor takes the arrays per degree and keeps the degrees up to the
+last one that holds a number, so each table has one stored form and two
+tables are equal exactly when their accessors agree.  Both routes write
+the arrays by position: numbers_from_barcode fills them with running
+sums of bar-end counts, in the degrees of its bars;
+compute_relevant_numbers computes them directly, band by band, from
+level and interlevel cell complexes, independent of the cone
+reduction, and serves as its oracle in the checks and tests.
 It is the only code here that needs a float inside a gap, at which it
 slices the level.  Both conversions, the document rows and entries
 read the arrays by position.  Only kernel_overlap, filled from the bars
@@ -77,7 +80,8 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class LevelBar:
-    """An interval with critical endpoints and an open/closed flag per end.
+    """An interval with critical endpoints and an open/closed flag per end,
+    in a homology degree that is never negative.
 
     An open end records that the classes die when pushed past it; a
     closed end records that they stop being detectable beyond it.
@@ -90,6 +94,8 @@ class LevelBar:
     right_closed: bool
 
     def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise ValueError(f"bar degree {self.degree} is negative")
         if self.left > self.right:
             raise ValueError("bar endpoints are reversed")
         if self.left == self.right and not (self.left_closed and self.right_closed):
@@ -137,7 +143,9 @@ def first_difference(a, b) -> str:
     Works for two level barcodes, two sub-level barcodes or two
     RelevantNumbers; bars, and numbers by (family, degree, positions),
     are visited in sorted order.  A number is named like its accessor
-    call, with a gap written as the open interval it spans.  Returns ""
+    call, with a gap written as the open interval it spans; a table
+    stores no degree above its last number, so two tables with different
+    degree ranges differ at a number, named like any other.  Returns ""
     when a and b are equal.
     """
     if a.grid.criticals != b.grid.criticals:
@@ -146,8 +154,6 @@ def first_difference(a, b) -> str:
     if isinstance(a, LevelBarcode):
         ca, cb, name = a.counts, b.counts, str
     elif isinstance(a, RelevantNumbers):
-        if a.max_degree != b.max_degree:
-            return f"degrees 0..{a.max_degree} vs 0..{b.max_degree}"
         T = a.grid.criticals
         ca, cb = ({(family, *e[:-1]): e[-1] for family in _FAMILIES for e in nums.entries(family)} for nums in (a, b))
         point = lambda i: f"({T[i // 2]}, {T[i // 2 + 1]})" if i % 2 else f"{T[i // 2]}"
@@ -223,8 +229,11 @@ class RelevantNumbers:
 
     The arrays are indexed by grid position, 0..2P-2 for P critical
     values: 2k is the k-th critical value and 2k + 1 the gap above it
-    (CriticalGrid.position).  The constructor takes them as they are
-    stored, one list per degree 0..max_degree; per degree r:
+    (CriticalGrid.position).  The constructor takes one list per degree
+    and drops every trailing degree in which all four are 0, so
+    max_degree is the last degree that holds a number (-1 if none does)
+    and two tables are equal exactly when their accessors agree; per
+    degree r:
 
     * overlap[r][i][j - i] is image_overlap(i, j), for j >= i; its
       diagonal overlap[r][i][0], the overlap of a level with itself, is
@@ -242,8 +251,12 @@ class RelevantNumbers:
     """
 
     def __init__(self, grid: CriticalGrid, overlap, up, down, both) -> None:
-        self.grid, self.max_degree = grid, len(overlap) - 1
-        self._overlap, self._up, self._down, self._both = overlap, up, down, both
+        top = len(overlap)
+        while top and not (both[top - 1] or any(map(any, overlap[top - 1]))
+                           or any(map(any, up[top - 1])) or any(map(any, down[top - 1]))):
+            top -= 1  # a trailing degree whose four families are all 0
+        self.grid, self.max_degree = grid, top - 1
+        self._overlap, self._up, self._down, self._both = overlap[:top], up[:top], down[:top], both[:top]
 
     def level_rank(self, r: int, t: float) -> int:
         i = self.grid.position(t)
@@ -328,10 +341,12 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
 
     For every pair of grid positions i < j the level complexes are
     included into the interlevel complex; ranks, kernels and image
-    overlaps of the induced maps fill the arrays at (i, j).  Degrees
-    where both levels have no homology are skipped without building the
-    band.  Position i is sliced at grid.value(i), so a gap that holds
-    no float is a ValueError naming it.
+    overlaps of the induced maps fill the arrays at (i, j), in degrees
+    0..max_degree (default: the complex dimension), of which the table
+    keeps those up to the last that holds a number.  Degrees where both
+    levels have no homology are skipped without building the band.
+    Position i is sliced at grid.value(i), so a gap that holds no float
+    is a ValueError naming it.
 
     builder (default: a new one) must be a SlabBuilder of f; passing
     the same builder to several calls on one map, as run_checks does,
@@ -400,10 +415,12 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     return RelevantNumbers(grid, overlap, up, down, both)
 
 
-def numbers_from_barcode(bc: LevelBarcode, max_degree: int | None = None) -> RelevantNumbers:
+def numbers_from_barcode(bc: LevelBarcode) -> RelevantNumbers:
     """Derive all five number families from a level barcode by counting.
 
-    The numbers are over the barcode's own grid.  Per degree, a bar is
+    The numbers are over the barcode's own grid, in degrees
+    0..bc.max_degree(): a caller that wants fewer degrees cuts the bars.
+    Per degree, a bar is
     the range [first, end) of grid positions it contains plus its open
     ends; T[k] is at 2k, so a closed end sits on its critical's position
     and an open one on the gap next to it.  image_overlap(i, j) counts
@@ -418,17 +435,12 @@ def numbers_from_barcode(bc: LevelBarcode, max_degree: int | None = None) -> Rel
     per degree, the size of the tables, plus the kernel_overlap entries.
     """
     grid = bc.grid
-    top = bc.max_degree() if max_degree is None else max_degree
-    top = max(top, 0)
     at = {t: 2 * k for k, t in enumerate(grid.criticals)}
     n = 2 * len(grid.criticals) - 1
-    spans: list[list] = [[] for _ in range(top + 1)]
-    for b, m in bc.counts.items():
-        if 0 <= b.degree <= top:
-            first = at[b.left] + (not b.left_closed)
-            end = at[b.right] + b.right_closed
-            if first < end:
-                spans[b.degree].append((first, end, m, b.left_closed, b.right_closed))
+    spans: list[list] = [[] for _ in range(bc.max_degree() + 1)]
+    for b, m in bc.counts.items():  # every bar contains a position: first < end
+        spans[b.degree].append((at[b.left] + (not b.left_closed), at[b.right] + b.right_closed,
+                                m, b.left_closed, b.right_closed))
     overlap, up, down, both = [], [], [], []
     for bars in spans:
         begun = [[] for _ in range(n)]  # first index -> (end, m, right closed)
@@ -540,8 +552,6 @@ def barcode_from_overlaps(nums: RelevantNumbers) -> LevelBarcode:
     counts: dict[LevelBar, int] = {}
     for r in range(nums.max_degree + 1):
         ov = nums._overlap[r]
-        if not any(map(any, ov)):  # every count of the degree is 0
-            continue
         for k in range(P):
             # left end closed: x = 2k, x' = 2k - 1 (no point below T[0]: a zero row)
             closed = _differences(ov[2 * k], ov[2 * k - 1][1:] if k else [0] * len(ov[0]))
@@ -582,8 +592,6 @@ def barcode_from_kernels(nums: RelevantNumbers) -> LevelBarcode:
     zero = [0] * (P + 1)
     for r in range(nums.max_degree + 1):
         ov, up, down, both = nums._overlap[r], nums._up[r], nums._down[r], nums._both[r]
-        if not (both or any(map(any, ov)) or any(map(any, up)) or any(map(any, down))):
-            continue  # every count of the degree is 0
         # open-open, oo[k][j] over j = 0..P; oo[-1] is the zero row P
         oo = [zero] * (P + 1)
         for k in range(P):

@@ -394,7 +394,7 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
             raise AssertionError(f"band route and cone reduction disagree at {first_difference(bc, cone)}")
 
     def numbers_round_trip():
-        back = numbers_from_barcode(bc, nums.max_degree)
+        back = numbers_from_barcode(bc)
         if back != nums:
             raise AssertionError(f"numbers -> bars -> numbers is not the identity at {first_difference(back, nums)}")
 
@@ -498,8 +498,8 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     grid, top = full.grid, min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
     bc = _up_to(full, top)
     stage("level route: %d bars over %d critical values", sum(bc.counts.values()), len(grid.criticals))
-    nums = numbers_from_barcode(bc, top)
-    stage("numbers: degrees 0..%d over %d critical values", top, len(grid.criticals))
+    nums = numbers_from_barcode(bc)
+    stage("numbers: degrees 0..%d over %d critical values", nums.max_degree, len(grid.criticals))
     for route in (barcode_from_overlaps, barcode_from_kernels):
         other = route(nums)
         if other != bc:

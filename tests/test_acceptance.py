@@ -146,7 +146,7 @@ def test_criterion_3_conversion_consistency():
     for name, (f, nums, bc, bc_k, _, _) in results.items():
         if bc != bc_k:
             bad.append(f"{name}: routes disagree")
-        if numbers_from_barcode(bc, nums.max_degree) != nums:
+        if numbers_from_barcode(bc) != nums:
             bad.append(f"{name}: numbers round trip")
     report("criterion 3 (conversion consistency)", not bad, "; ".join(bad))
 

@@ -136,7 +136,8 @@ def test_number_rows_match_probed_tables():
     maps += [random_vertex_map(rng) for _ in range(40)]
     for k, f in enumerate(maps):
         grid = critical_values(f)
-        tables = [numbers_from_barcode(level_barcode(f), top) for top in (0, f.complex.dim, 3)]
+        bc = level_barcode(f)
+        tables = [numbers_from_barcode(report._up_to(bc, top)) for top in (0, f.complex.dim, 3)]
         if k < len(FIXTURE_MAKERS):
             tables.append(compute_relevant_numbers(f, grid=grid))
         for nums in tables:
@@ -192,7 +193,7 @@ def test_large_inputs_are_consistent(maker):
     top = f.complex.dim
     bc = level_barcode(f)
     assert bc.counts
-    nums = numbers_from_barcode(bc, top)
+    nums = numbers_from_barcode(bc)
     assert barcode_from_overlaps(nums) == bc
     assert barcode_from_kernels(nums) == bc
     assert sublevel_from_level(bc) == sublevel_barcode(f)
@@ -490,8 +491,8 @@ def test_check_compares_band_route_with_cone(monkeypatch, square_circle):
 
 def test_numbers_round_trip_names_the_first_differing_entry(monkeypatch, square_circle):
     real = report.numbers_from_barcode
-    monkeypatch.setattr(report, "numbers_from_barcode", lambda bc, top: bumped(
-        real(bc, top), "image_overlap", (0, 0.5, 1.5), 1))
+    monkeypatch.setattr(report, "numbers_from_barcode", lambda bc: bumped(
+        real(bc), "image_overlap", (0, 0.5, 1.5), 1))
     results = {c.name: c for c in report.run_checks(square_circle)}
     assert not results["numbers_round_trip"].passed
     assert results["numbers_round_trip"].detail == ("numbers -> bars -> numbers is not the identity at "
@@ -526,4 +527,5 @@ def test_stage_records_carry_sizes(caplog, octahedron):
     n = len(octahedron.complex.simplices)
     assert messages[0].startswith(f"cone reduction: {n} simplices, {2 * n + 1} cone columns")
     assert messages[1].startswith("level route: 2 bars over 3 critical values")
+    assert messages[2].startswith("numbers: degrees 0..1 over 3 critical values")  # H0 and H1 of a 2-complex
     assert json.loads(loud)["level_bars"]

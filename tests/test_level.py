@@ -82,7 +82,7 @@ def test_zero_outside_the_stored_domain(name):
     # sentinels, degrees out of range and reversed reaches read 0 in both
     # constructions
     direct = compute_relevant_numbers(FIXTURE_MAKERS[name]())
-    derived = numbers_from_barcode(barcode_from_overlaps(direct), direct.max_degree)
+    derived = numbers_from_barcode(barcode_from_overlaps(direct))
     for nums in (direct, derived):
         grid, top = nums.grid, nums.max_degree
         below, above = outside(grid)
@@ -145,7 +145,7 @@ def test_zero_entries_are_not_stored():
     rng = np.random.default_rng(46)
     for f in [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(8)]:
         direct = compute_relevant_numbers(f)
-        derived = numbers_from_barcode(level_barcode(f), direct.max_degree)
+        derived = numbers_from_barcode(level_barcode(f))
         for nums in (direct, derived):
             assert all(slot and all(slot.values()) for by_point in nums._both for slot in by_point.values())
             assert all(e[-1] for name in NUMBER_FAMILIES for e in nums.entries(name))
@@ -174,7 +174,7 @@ def test_barcode_from_kernels_fixtures(square_circle, v_map, edge_map):
 def test_numbers_from_barcode_circle(square_circle):
     nums = compute_relevant_numbers(square_circle)
     bc = barcode_from_overlaps(nums)
-    derived = numbers_from_barcode(bc, nums.max_degree)
+    derived = numbers_from_barcode(bc)
     assert derived.image_overlap(0, 0.0, 2.0) == 1
     assert derived.image_overlap(0, 0.5, 1.5) == 2
     assert derived.up_kernel(0, 0.5, 2.0) == 1
@@ -184,7 +184,7 @@ def test_numbers_from_barcode_circle(square_circle):
 
 def test_numbers_from_empty_barcode():
     grid = CriticalGrid((0.0, 1.0))
-    nums = numbers_from_barcode(LevelBarcode(grid, {}), 1)
+    nums = numbers_from_barcode(LevelBarcode(grid, {}))
     pts = grid_values(grid)
     assert all(nums.level_rank(r, x) == 0 for r in (0, 1) for x in pts)
 
@@ -192,7 +192,7 @@ def test_numbers_from_empty_barcode():
 def test_numbers_from_singleton_bar():
     grid = CriticalGrid((5.0,))
     bc = LevelBarcode(grid, {LevelBar(0, 5.0, 5.0, True, True): 1})
-    nums = numbers_from_barcode(bc, 0)
+    nums = numbers_from_barcode(bc)
     assert nums.level_rank(0, 5.0) == 1
     assert nums.image_overlap(0, 5.0, 5.0) == 1
     assert nums.up_kernel(0, 5.0, 5.0) == 0
@@ -216,7 +216,7 @@ def test_three_way_agreement_and_round_trip_random():
         nums = compute_relevant_numbers(f)
         bc = barcode_from_overlaps(nums)
         assert bc == barcode_from_kernels(nums)
-        assert numbers_from_barcode(bc, nums.max_degree) == nums
+        assert numbers_from_barcode(bc) == nums
 
 
 def test_bridge_random():
@@ -251,8 +251,7 @@ def test_synthetic_barcode_round_trip():
     rng = np.random.default_rng(43)
     for _ in range(60):
         bc = random_level_barcode(rng)
-        top = max(bc.max_degree(), 0)
-        nums = numbers_from_barcode(bc, top)
+        nums = numbers_from_barcode(bc)
         assert barcode_from_overlaps(nums) == bc
         assert barcode_from_kernels(nums) == bc
 
@@ -382,6 +381,7 @@ def test_readme_library_example_runs_as_printed():
               for node in ast.parse(block).body if isinstance(node, ast.Expr)}
     assert stated == {"nums.image_overlap(0, 0.5, 1.5)": "2",
                       "barcode_from_overlaps(compute_relevant_numbers(f)) == bars": "True",
+                      "numbers_from_barcode(bars) == compute_relevant_numbers(f)": "True",
                       "sublevel_from_level(bars) == sublevel_barcode(f)": "True"}
     for expression, value in stated.items():
         assert repr(eval(expression, namespace)) == value, expression

@@ -21,12 +21,15 @@ from levelpers import (
     build_complex,
     barcode_from_kernels,
     barcode_from_overlaps,
+    compute_relevant_numbers,
     critical_values,
     level_barcode,
     numbers_from_barcode,
 )
 from levelpers.cli import main
-from conftest import FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map
+from levelpers.level import first_difference
+from conftest import (FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map,
+                      seeded_telescopes)
 
 
 def counted_entries(bc, grid, top):
@@ -97,7 +100,7 @@ def test_tables_match_the_per_bar_count():
         grid = critical_values(f)
         bc = level_barcode(f)
         for top in (0, f.complex.dim, 3):
-            nums = numbers_from_barcode(bc, top)
+            nums = numbers_from_barcode(report._up_to(bc, top))
             expected = counted_entries(bc, grid, top)
             for family in NUMBER_FAMILIES:
                 assert nums.entries(family) == expected[family], (name, top, family)
@@ -134,6 +137,67 @@ def test_no_float_is_computed_inside_a_gap(monkeypatch):
             assert all(entry[-1] for entry in nums.entries(name))
             for r, *ks, count in nums.critical_entries(name):
                 assert getattr(nums, name)(r, *(T[k] for k in ks)) == count
+
+
+# --- one stored form per table ----------------------------------------------------
+
+def test_counted_table_equals_the_band_route_table():
+    # a table keeps no trailing degree without a number, so the two routes
+    # give equal tables, not only equal accessors
+    rng = np.random.default_rng(25)
+    maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(60)]
+    for k, f in enumerate(maps + seeded_telescopes(10, 26)):
+        assert numbers_from_barcode(level_barcode(f)) == compute_relevant_numbers(f), k
+
+
+def test_max_degree_is_the_last_degree_that_holds_a_number(square_circle):
+    # the square circle is 1-dimensional, but no level holds a cycle
+    assert numbers_from_barcode(level_barcode(square_circle)).max_degree == 0
+    assert compute_relevant_numbers(square_circle).max_degree == 0
+    grid = CriticalGrid((0.0, 1.0))
+    nums = numbers_from_barcode(LevelBarcode(grid, {}))
+    assert nums.max_degree == -1
+    assert all(nums.entries(name) == [] for name in NUMBER_FAMILIES)
+    pts = grid_values(grid)
+    for r in (-1, 0, 1):
+        for t in pts:
+            assert nums.level_rank(r, t) == 0
+            for u in pts:
+                assert nums.image_overlap(r, t, u) == nums.up_kernel(r, t, u) == nums.down_kernel(r, u, t) == 0
+                assert all(nums.kernel_overlap(r, t, u, d) == 0 for d in pts)
+
+
+def test_an_all_zero_degree_leaves_the_table_unchanged(octahedron):
+    nums = numbers_from_barcode(level_barcode(octahedron))
+    n = 2 * len(nums.grid.criticals) - 1
+    padded = RelevantNumbers(nums.grid, nums._overlap + [[[0] * (n - i) for i in range(n)]],
+                             nums._up + [[[0] * (n - i) for i in range(n)]],
+                             nums._down + [[[0] * (i + 1) for i in range(n)]], nums._both + [{}])
+    assert nums.max_degree == padded.max_degree == 1
+    assert padded == nums and first_difference(padded, nums) == ""
+
+
+def test_an_empty_degree_between_two_with_bars_is_converted():
+    grid = CriticalGrid((0.0, 1.0, 2.0))
+    bc = LevelBarcode(grid, {LevelBar(0, 0.0, 2.0, True, True): 1, LevelBar(2, 0.0, 1.0, False, False): 2,
+                             LevelBar(2, 1.0, 2.0, True, False): 1})
+    nums = numbers_from_barcode(bc)
+    assert nums.max_degree == 2 and not any(map(any, nums._overlap[1]))
+    assert barcode_from_overlaps(nums) == barcode_from_kernels(nums) == bc
+
+
+def test_first_difference_names_a_number_above_the_lower_top():
+    grid = CriticalGrid((0.0, 1.0, 2.0))
+    low = LevelBarcode(grid, {LevelBar(0, 0.0, 2.0, True, True): 1})
+    high = LevelBarcode(grid, {**low.counts, LevelBar(1, 1.0, 2.0, False, True): 1})
+    a, b = numbers_from_barcode(low), numbers_from_barcode(high)
+    assert (a.max_degree, b.max_degree) == (0, 1)
+    assert first_difference(a, b) == "down_kernel(1, (1.0, 2.0), 0.0) with count 0 vs 1"
+
+
+def test_a_bar_of_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="negative"):
+        LevelBar(-1, 0.0, 1.0, True, True)
 
 
 # --- conversions against scalar passes over the accessors ----------------------
@@ -274,7 +338,7 @@ def test_each_conversion_reads_only_its_tables():
     for name, f in sample_maps():
         grid = critical_values(f)
         for top in (0, f.complex.dim):
-            nums = numbers_from_barcode(level_barcode(f), top)
+            nums = numbers_from_barcode(report._up_to(level_barcode(f), top))
             at_criticals = [[[m if i % 2 == o % 2 == 0 else 0 for o, m in enumerate(row)]
                              for i, row in enumerate(rows)] for rows in nums._overlap]
             up, down = ([[[0] * len(row) for row in rows] for rows in table] for table in (nums._up, nums._down))

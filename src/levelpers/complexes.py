@@ -2,17 +2,19 @@
 
 A simplex is a strictly sorted tuple of integer vertex ids.  A vertex
 value map extends linearly over each simplex; its critical values are
-the distinct vertex values.  CriticalGrid indexes them and the gaps
-between them by integers; a float inside a gap is computed only where
-the band route slices a level there.
+the distinct vertex values; a filtration's are the times of its stages
+that hold a vertex, those of its telescope, which only the checks build.
+CriticalGrid indexes them and the gaps between them by integers; a
+float inside a gap is computed only where the band route slices a level
+there.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 Simplex = tuple[int, ...]
 
@@ -25,6 +27,7 @@ __all__ = [
     "facets",
     "build_complex",
     "critical_values",
+    "entry_filtration",
     "lower_star_filtration",
     "telescope",
 ]
@@ -57,18 +60,34 @@ class SimplicialComplex:
 
 
 def build_complex(maximal_simplices) -> SimplicialComplex:
-    """Close a family of simplices under faces, in canonical sorted form."""
-    simplices: set[Simplex] = set()
-    vertices: set[int] = set()
-    for raw in maximal_simplices:
-        vs = tuple(map(int, raw))
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate vertex in simplex {list(raw)}")
-        vs = tuple(sorted(vs))
-        vertices.update(vs)
-        for k in range(1, len(vs) + 1):
-            simplices.update(itertools.combinations(vs, k))
-    return SimplicialComplex(tuple(sorted(vertices)), frozenset(simplices))
+    """Close a family of simplices under faces, in canonical sorted form.
+
+    The faces are made one dimension at a time from the top down: each
+    distinct d-simplex adds its facets to the (d - 1)-simplices, down to
+    the edges, and the vertex faces come from the vertex ids.  A simplex
+    that repeats a vertex v has the face (v, v) among its edges, so one
+    look at the edges finds it, and a ValueError names the first such
+    simplex.
+    """
+    maximal_simplices = list(maximal_simplices)
+    simplices = [tuple(sorted(map(int, raw))) for raw in maximal_simplices]
+    vertices = set(chain.from_iterable(simplices))
+    by_size: list[set[Simplex]] = [set() for _ in range(max(map(len, simplices), default=0) + 1)]
+    for s in simplices:
+        by_size[len(s)].add(s)
+    for k in range(len(by_size) - 1, 2, -1):  # each simplex of k vertices adds its facets, down to the edges
+        below = by_size[k - 1]
+        if k == 3:
+            for a, b, c in by_size[3]:
+                below.update(((b, c), (a, c), (a, b)))
+        else:
+            for s in by_size[k]:
+                below.update(facets(s))
+    if len(by_size) > 2 and any(a == b for a, b in by_size[2]):
+        k = next(k for k, s in enumerate(simplices) if len(set(s)) < len(s))
+        raise ValueError(f"duplicate vertex in simplex {list(maximal_simplices[k])}")
+    by_size[:2] = [set(zip(vertices))]  # the vertex faces, from the vertex ids
+    return SimplicialComplex(tuple(sorted(vertices)), frozenset().union(*by_size))
 
 
 @dataclass(frozen=True)
@@ -141,10 +160,14 @@ class CriticalGrid:
         return mid
 
 
-def critical_values(f: VertexValuedMap) -> CriticalGrid:
-    """Grid of the distinct vertex values."""
+def critical_values(f: VertexValuedMap | Filtration) -> CriticalGrid:
+    """Grid of the distinct vertex values of a map; of a filtration, the
+    times of its stages that hold a vertex, which are the critical
+    values of its telescope."""
     if not f.complex.vertices:
         raise ValueError("empty complex has no critical values")
+    if isinstance(f, Filtration):
+        return CriticalGrid(tuple(t for stage, t in zip(f.stages, f.times) if stage.vertices))
     return CriticalGrid(tuple(f.values.values()))
 
 
@@ -164,7 +187,17 @@ def lower_star_filtration(f: VertexValuedMap) -> list[tuple[Simplex, float]]:
 
 @dataclass
 class Filtration:
-    """Nested stages K_0 <= K_1 <= ... with strictly increasing times."""
+    """Nested stages K_0 <= K_1 <= ... with strictly increasing times.
+
+    The telescope of a filtration (see telescope) deformation retracts
+    onto the last stage, and each of its interlevel sets onto its top
+    level.  So its level bars are the sub-level bars of the filtration
+    itself, a finite bar [b, d) read as the closed-open level bar [b, d)
+    and an infinite bar from b as the closed-closed bar [b, t_last].
+    Every route but check therefore reads a filtration directly, in the
+    order of entry_filtration, and complex is the last stage, the
+    complex the telescope retracts onto.
+    """
 
     stages: list[SimplicialComplex]
     times: list[float]
@@ -182,6 +215,29 @@ class Filtration:
             if missing:
                 s = min(missing)
                 raise ValueError(f"stage {i} is not a subcomplex of stage {i + 1}: missing simplex {list(s)}")
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        """The last stage."""
+        return self.stages[-1]
+
+
+def entry_filtration(filt: Filtration) -> list[tuple[Simplex, float]]:
+    """The simplices of the last stage ordered by (entry stage, dimension,
+    lexicographic), each with the time of the stage it enters.
+
+    Every stage is closed under faces and contains the one before, so
+    every face precedes its cofaces: a valid filtration order for column
+    reduction, whose bars are those of the telescope's lower-star order.
+    """
+    entries: list[tuple[Simplex, float]] = []
+    before: frozenset[Simplex] = frozenset()
+    for stage, t in zip(filt.stages, filt.times):
+        new = sorted(stage.simplices - before)
+        new.sort(key=len)  # stable: lexicographic within each dimension
+        entries += [(s, t) for s in new]
+        before = stage.simplices
+    return entries
 
 
 def telescope(filt: Filtration) -> VertexValuedMap:

@@ -6,10 +6,13 @@ Morozov 2009): level_barcode reads all four bar kinds off one column
 reduction of the cone over the complex, whose columns are the lower-star
 filtration of f followed by the cone over the upper-star filtration.
 The upper-star order of f is the lower-star order of -f, so both halves
-are lower_star_boundary columns, of f and of -f.  The bar routes take
-only their input: level_barcode(f) returns every degree over the grid
-critical_values(f), and sublevel_from_level(bc) maps every bar of bc
-over bc.grid; a caller that wants fewer degrees cuts the bars.
+are boundary_columns of lower-star orders, of f and of -f.  A
+filtration needs no cone: every interlevel set of its telescope retracts
+onto its top level, so level_barcode reads its level bars off its own
+sub-level bars.  The bar routes take only their input: level_barcode(f)
+returns every degree over the grid critical_values(f), and
+sublevel_from_level(bc) maps every bar of bc over bc.grid; a caller that
+wants fewer degrees cuts the bars.
 
 The level bars also determine five families of numbers per homology
 degree, indexed over the grid of critical and regular values:
@@ -57,10 +60,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .complexes import CriticalGrid, VertexValuedMap, critical_values
+from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values
 from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis
 from .slabs import SlabBuilder, homology_of, include_level
-from .sublevel import INF, SublevelBarcode, lower_star_boundary
+from .sublevel import INF, SublevelBarcode, boundary_columns, filtration_order, sublevel_barcode
 
 _log = logging.getLogger("levelpers")
 
@@ -168,14 +171,15 @@ def first_difference(a, b) -> str:
     return ""
 
 
-def level_barcode(f: VertexValuedMap) -> LevelBarcode:
-    """Level bars, in every degree, over critical_values(f), from one
-    extended-persistence reduction of the cone.
+def level_barcode(f: VertexValuedMap | Filtration) -> LevelBarcode:
+    """Level bars, in every degree, over critical_values(f): for a map,
+    from one extended-persistence reduction of the cone; for a
+    filtration, read off its sub-level bars.
 
     Columns are the cone point w, then the simplices of K in lower-star
     order, then the cones w*s in descending upper-star order, sorted by
     (-min value, dimension, lexicographic): that is the lower-star order
-    of -f, so both halves come from lower_star_boundary, of f and of -f.
+    of -f, so both halves come from boundary_columns, of f and of -f.
     The boundary of w*s is s + w*(boundary of s), where w*(boundary of
     s) is the boundary column of s under -f shifted below K, and that of
     w*v is v + w.  A pair born at value a and killed at value b reads as:
@@ -189,9 +193,22 @@ def level_barcode(f: VertexValuedMap) -> LevelBarcode:
     The cone point is essential and pairs with nothing.  A pair's degree
     is that of a simplex of K, or one less, so no bar lies above the
     complex dimension: a caller that wants fewer degrees cuts the bars.
+
+    A filtration stands for its telescope, every interlevel set of which
+    retracts onto its top level: so a level bar never has an open left
+    end, a finite sub-level bar [b, d) is the closed-open level bar
+    [b, d), and an infinite one from b is the closed-closed bar
+    [b, t_last] to the last time.  No telescope and no cone is built.
     """
-    lower, index, boundary = lower_star_boundary(f)
-    upper, _, cones = lower_star_boundary(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))
+    if isinstance(f, Filtration):
+        sb = sublevel_barcode(f)
+        last = f.times[-1]
+        return LevelBarcode(sb.grid, {LevelBar(r, b, last if d == INF else d, True, d == INF): m
+                                      for (r, b, d), m in sb.bars.items()})
+    lower = filtration_order(f)
+    upper = filtration_order(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))
+    index, boundary = boundary_columns(lower)
+    _, cones = boundary_columns(upper)
     n = len(lower)
     # in place, so that each column is freed as its shifted copy is made
     for i, bits in enumerate(boundary):
@@ -331,7 +348,8 @@ class RelevantNumbers:
 
     def __repr__(self) -> str:
         pairs = sum(len(row) - row.count(0) for rows in self._overlap for row in rows)
-        return f"RelevantNumbers(degrees 0..{self.max_degree}, {pairs} pairs)"
+        degrees = f"degrees 0..{self.max_degree}" if self.max_degree >= 0 else "no degrees"
+        return f"RelevantNumbers({degrees}, {pairs} pairs)"
 
 
 def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, *,

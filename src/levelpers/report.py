@@ -3,8 +3,10 @@
 Input is a single JSON object: either a vertex-valued map
 ``{"vertices": [{"id": 0, "value": 0.5}, ...], "maximal_simplices": [[0, 1], ...]}``
 or a filtration ``{"filtration": {"times": [...], "stages": [[...], ...]}}``
-whose stages are lists of maximal simplices.  Filtrations are turned
-into maps by the telescope construction.  Values are serialized back as
+whose stages are lists of maximal simplices.  Every route reads a
+filtration directly, as its own sub-level bars; only run_checks turns it
+into a map by the telescope construction, since the band route needs a
+PL map.  Values are serialized back as
 shortest round-tripping decimal strings, so document -> JSON -> document
 is the identity.
 """
@@ -18,6 +20,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .complexes import CriticalGrid, Filtration, VertexValuedMap, build_complex, critical_values, telescope
 from .gf2 import induced_map, rank
@@ -84,23 +87,32 @@ def _parse_value(raw, where: str) -> float:
     return value
 
 
-def _parse_simplex_list(raw, known_ids, where: str):
+def _parse_simplex_list(raw, known_ids, where: str) -> list[tuple[int, ...]]:
+    """The simplices of raw as sorted tuples of vertex ids.
+
+    Each must be a non-empty list of distinct integer ids, all in
+    known_ids unless that is None.  The checks run over the whole list
+    at once; only a list that fails one is walked vertex by vertex, to
+    name the first fault in document order.
+    """
     _require(isinstance(raw, list), f"{where}: expected a list of simplices")
-    out = []
-    for k, simplex in enumerate(raw):
-        if not (isinstance(simplex, list) and simplex):
-            raise InputError(f"{where}[{k}]: expected a non-empty list of vertex ids")
-        seen = set()
-        for v in simplex:
-            if not (isinstance(v, int) and not isinstance(v, bool)):
-                raise InputError(f"{where}[{k}]: vertex ids must be integers")
-            if known_ids is not None and v not in known_ids:
-                raise InputError(f"{where}[{k}]: unknown vertex id {v}")
-            if v in seen:
-                raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
-            seen.add(v)
-        out.append(tuple(simplex))
-    return out
+    if not (all(simplex.__class__ is list and simplex for simplex in raw)
+            and set(map(type, chain.from_iterable(raw))) <= {int}
+            and (known_ids is None or known_ids.issuperset(chain.from_iterable(raw)))
+            and all(len(set(simplex)) == len(simplex) for simplex in raw)):
+        for k, simplex in enumerate(raw):  # name the first fault, in document order
+            if not (isinstance(simplex, list) and simplex):
+                raise InputError(f"{where}[{k}]: expected a non-empty list of vertex ids")
+            seen = set()
+            for v in simplex:
+                if not (isinstance(v, int) and not isinstance(v, bool)):
+                    raise InputError(f"{where}[{k}]: vertex ids must be integers")
+                if known_ids is not None and v not in known_ids:
+                    raise InputError(f"{where}[{k}]: unknown vertex id {v}")
+                if v in seen:
+                    raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
+                seen.add(v)
+    return [tuple(sorted(simplex)) for simplex in raw]
 
 
 def parse_input(text: str):
@@ -133,10 +145,33 @@ def parse_input(text: str):
 
     _require("vertices" in data, "expected 'vertices' or 'filtration'")
     _require("maximal_simplices" in data, "missing 'maximal_simplices'")
-    verts_raw = data["vertices"]
-    _require(isinstance(verts_raw, list), "vertices: expected a list")
-    values: dict[int, float] = {}
-    for k, entry in enumerate(verts_raw):
+    values = _parse_vertices(data["vertices"])
+    simplices = _parse_simplex_list(data["maximal_simplices"], set(values), "maximal_simplices")
+    simplices += zip(values.keys() - chain.from_iterable(simplices))  # the vertices in no simplex, as (v,)
+    return VertexValuedMap(build_complex(simplices), values)
+
+
+def _parse_vertices(raw) -> dict[int, float]:
+    """The vertex values of raw, by id.
+
+    Each entry must be an object with an integer 'id', given once, and a
+    finite 'value'.  As for simplices, the checks run over the whole
+    list at once, and only a list that fails one is walked entry by
+    entry, to name the first fault.
+    """
+    _require(isinstance(raw, list), "vertices: expected a list")
+    if all(entry.__class__ is dict and "id" in entry and "value" in entry for entry in raw):
+        ids = [entry["id"] for entry in raw]
+        numbers = [entry["value"] for entry in raw]
+        if set(map(type, ids)) <= {int} and set(map(type, numbers)) <= {int, float}:
+            try:
+                values = dict(zip(ids, map(float, numbers)))
+            except OverflowError:  # an integer past the float range
+                values = {}
+            if len(values) == len(raw) and all(map(math.isfinite, values.values())):
+                return values
+    values = {}
+    for k, entry in enumerate(raw):
         if not (isinstance(entry, dict) and "id" in entry and "value" in entry):
             raise InputError(f"vertices[{k}]: expected an object with 'id' and 'value'")
         vid = entry["id"]
@@ -145,17 +180,26 @@ def parse_input(text: str):
         if vid in values:
             raise InputError(f"vertices[{k}]: duplicate id {vid}")
         values[vid] = _parse_value(entry["value"], f"vertices[{k}].value")
-    simplices = _parse_simplex_list(data["maximal_simplices"], set(values), "maximal_simplices")
-    simplices.extend((v,) for v in values)
-    cx = build_complex(simplices)
-    return VertexValuedMap(cx, values)
+    return values
 
 
-def input_to_map(parsed) -> VertexValuedMap:
-    """Telescope a filtration; pass a map through unchanged."""
-    if isinstance(parsed, Filtration):
-        return telescope(parsed)
+def input_to_map(parsed) -> VertexValuedMap | Filtration:
+    """The input the routes take: a map or a filtration, unchanged.
+
+    No route needs a filtration's telescope, which is 8-76 times its
+    size: the sub-level and level bars read the filtration directly
+    (sublevel_barcode, level_barcode), and only run_checks telescopes.
+    """
     return parsed
+
+
+def _dim(f: VertexValuedMap | Filtration) -> int:
+    """The dimension of f's complex; for a filtration, that of its
+    telescope, whose prisms over the d-simplices of every stage but the
+    last are (d + 1)-dimensional."""
+    if isinstance(f, Filtration) and len(f.stages) > 1:
+        return max(f.complex.dim, f.stages[-2].dim + 1)
+    return f.complex.dim
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -291,10 +335,15 @@ class CheckResult:
     detail: str = ""
 
 
-def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int = 0) -> list[CheckResult]:
+def run_checks(f: VertexValuedMap | Filtration, *, max_degree: int | None = None,
+               seed: int = 0) -> list[CheckResult]:
     """Run the named executable invariants on one map, independently of
-    analyze.  Degrees stop at min(max_degree, dim), as in analyze, and an
-    empty complex has nothing to check.  Randomized probes (extra regular
+    analyze.  A filtration is checked on its telescope, since the band
+    route needs a PL map, and bridge_identity also compares the bars
+    that sublevel_barcode and level_barcode read off the filtration
+    directly with those of the telescope.  Degrees stop at
+    min(max_degree, dim), as in analyze, and an empty complex has nothing
+    to check.  Randomized probes (extra regular
     values, refinement slices) are drawn from the given seed.  A gap
     probe that rounds onto an end of its gap or onto the gap's slice
     value moves to a float next to the slice value; a gap that holds no
@@ -304,6 +353,9 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
     check that raises fails with the message as its detail, except for
     MemoryError, which propagates: running out is not a failed check.
     """
+    filt = f if isinstance(f, Filtration) else None
+    if filt is not None:
+        f = telescope(filt)
     if not f.complex.simplices:
         return []
     import numpy as np  # here, not at module level, so importing levelpers does not load numpy
@@ -409,6 +461,11 @@ def run_checks(f: VertexValuedMap, *, max_degree: int | None = None, seed: int =
         if derived != reference:
             raise AssertionError("level-derived and reduction sub-level bars differ at "
                                  f"{first_difference(derived, reference)}")
+        if filt is not None:  # the filtration read directly, against its telescope
+            for what, route, tele in (("sub-level", sublevel_barcode, sb), ("level", level_barcode, level_barcode(f))):
+                direct = route(filt)
+                if direct != tele:
+                    raise AssertionError(f"direct and telescope {what} bars differ at {first_difference(direct, tele)}")
         if m < f.complex.dim:
             return f"sub-level degrees 0..{m}"
 
@@ -480,13 +537,15 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
     conversion routes back to bars (which must reproduce them), and
     sub-level bars read off the same bars.  The cone is reduced once at
     every degree, since sub-level degree d needs level degrees d - 1 and
-    d; the level bars and the numbers stop at min(max_degree, dim).  The
+    d; the level bars and the numbers stop at min(max_degree, dim).  A
+    filtration has no cone: its level bars are read off its own sub-level
+    bars (level_barcode), and dim is that of its telescope.  The
     document's checks stay None: run_checks runs them on its own.
 
     Stage boundaries are logged at DEBUG level on the "levelpers" logger.
     """
     f = input_to_map(parsed)
-    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
+    requested = max(_dim(f) if max_degree is None else max_degree, 0)
     if not f.complex.simplices:
         return ResultDocument([], requested, [], [], {name: [] for name in _NUMBER_ARGS})
     start = time.perf_counter()
@@ -495,7 +554,7 @@ def analyze(parsed, *, max_degree: int | None = None) -> ResultDocument:
         _log.debug(message + " (%.3f s)", *args, time.perf_counter() - start)
 
     full = level_barcode(f)
-    grid, top = full.grid, min(requested, f.complex.dim)  # no bar and no nonzero number lies above the dimension
+    grid, top = full.grid, min(requested, _dim(f))  # no bar and no nonzero number lies above the dimension
     bc = _up_to(full, top)
     stage("level route: %d bars over %d critical values", sum(bc.counts.values()), len(grid.criticals))
     nums = numbers_from_barcode(bc)
@@ -524,19 +583,20 @@ def analyze_level(parsed, *, max_degree: int | None = None) -> ResultDocument:
     (sublevel_from_level).  No numbers and no conversions are computed,
     so the document's numbers are empty."""
     f = input_to_map(parsed)
-    requested = max(f.complex.dim if max_degree is None else max_degree, 0)
+    requested = max(_dim(f) if max_degree is None else max_degree, 0)
     if not f.complex.simplices:
         return ResultDocument([], requested, [], [], {})
     full = level_barcode(f)
-    bc = _up_to(full, min(requested, f.complex.dim))
+    bc = _up_to(full, min(requested, _dim(f)))
     return ResultDocument([fmt_value(t) for t in full.grid.criticals], requested,
                           _sublevel_rows(sublevel_from_level(full)), _level_rows(bc), {})
 
 
 def analyze_sublevel(parsed) -> ResultDocument:
     """The sub-level bars alone, from the one column reduction of the
-    lower-star filtration (sublevel_barcode); the document has no level
-    bars, no numbers and max_degree 0.  analyze reads the same bars off
+    lower-star filtration, or of a filtration's own entry order
+    (sublevel_barcode); the document has no level bars, no numbers and
+    max_degree 0.  analyze reads the same bars off
     the cone."""
     f = input_to_map(parsed)
     if not f.complex.simplices:

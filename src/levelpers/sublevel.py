@@ -1,17 +1,20 @@
-"""Sub-level persistence of a PL vertex map.
+"""Sub-level persistence of a PL vertex map or of a filtration.
 
-Bars come from the column reduction, with clearing, of the lower-star
-filtration boundary matrix; Betti numbers of the persistence module are
-counted from bars by interval containment, and bar multiplicities are
-recovered from the Betti numbers by one inclusion-exclusion over
-consecutive critical values.  sublevel_barcode(f) takes only the map
-and returns every degree over the grid critical_values(f).
-lower_star_boundary builds the boundary matrix for this reduction and
-both halves of the cone: level_barcode shifts the columns of f one row
-down, below the cone point, and those of -f below K, as the cones over
-the upper-star filtration.  analyze reads the sub-level bars off the
-cone instead (sublevel_from_level), and check compares them with
-sublevel_barcode.
+Bars come from the column reduction, with clearing, of the boundary
+matrix of a filtration order: the lower-star order of a map, or a
+filtration's own simplices by (entry stage, dimension, lexicographic)
+(filtration_order); the bars of a filtration are those of its
+telescope, which it never builds.  Betti numbers of the persistence
+module are counted from bars by interval containment, and bar
+multiplicities are recovered from the Betti numbers by one
+inclusion-exclusion over consecutive critical values.
+sublevel_barcode(f) takes only its input and returns every degree over
+the grid critical_values(f).  boundary_columns builds the boundary
+matrix of any filtration order, for this reduction and both halves of
+the cone: level_barcode shifts the columns of f one row down, below the
+cone point, and those of -f below K, as the cones over the upper-star
+filtration.  analyze reads the sub-level bars off the level bars instead
+(sublevel_from_level), and check compares them with sublevel_barcode.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .complexes import CriticalGrid, VertexValuedMap, critical_values, lower_star_filtration
+from .complexes import (
+    CriticalGrid,
+    Filtration,
+    Simplex,
+    VertexValuedMap,
+    critical_values,
+    entry_filtration,
+    lower_star_filtration,
+)
 from .gf2 import BitMatrix, column_reduce
 
 INF = math.inf
@@ -69,10 +80,15 @@ class SublevelBarcode:
         return f"SublevelBarcode({', '.join(parts)})"
 
 
-def lower_star_boundary(f: VertexValuedMap):
-    """(order, index, columns): the lower-star (simplex, value) pairs,
+def filtration_order(f: VertexValuedMap | Filtration) -> list[tuple[Simplex, float]]:
+    """The (simplex, value) pairs of f in a filtration order: the
+    lower-star order of a map, or entry_filtration of a filtration."""
+    return entry_filtration(f) if isinstance(f, Filtration) else lower_star_filtration(f)
+
+
+def boundary_columns(order: list[tuple[Simplex, float]]) -> tuple[dict[Simplex, int], list[int]]:
+    """(index, columns) of a filtration order of (simplex, value) pairs:
     each simplex's position, and its boundary as a bit column."""
-    order = lower_star_filtration(f)
     index = {s: i for i, (s, _) in enumerate(order)}
     columns = []
     for s, _ in order:  # edges and triangles, the bulk of a surface, without a loop over faces
@@ -87,17 +103,18 @@ def lower_star_boundary(f: VertexValuedMap):
             for i in range(len(s)):
                 bits |= 1 << index[s[:i] + s[i + 1:]]
             columns.append(bits)
-    return order, index, columns
+    return index, columns
 
 
-def sublevel_barcode(f: VertexValuedMap) -> SublevelBarcode:
+def sublevel_barcode(f: VertexValuedMap | Filtration) -> SublevelBarcode:
     """Bars of the sub-level persistence module, in every degree, over
-    critical_values(f), via column reduction.
+    critical_values(f), via column reduction of filtration_order(f).
 
     A pair of simplices entering at equal values is a zero-length bar
     and is dropped; unpaired positive simplices give infinite bars.
     """
-    order, _, columns = lower_star_boundary(f)
+    order = filtration_order(f)
+    _, columns = boundary_columns(order)
     pairs, essential = column_reduce(BitMatrix.from_bits(columns, len(order)))
 
     bars: dict[tuple[int, float, float], int] = {}

@@ -33,7 +33,7 @@ from levelpers import (
     telescope,
 )
 from levelpers.level import first_difference
-from levelpers.sublevel import INF, lower_star_boundary
+from levelpers.sublevel import INF, boundary_columns, filtration_order
 from conftest import (FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_filtration,
                       random_vertex_map, seeded_telescopes)
 
@@ -412,8 +412,8 @@ def left_to_right_reduce(matrix):
 
 
 def lower_star_matrix(f):
-    order, _, columns = lower_star_boundary(f)
-    return BitMatrix.from_bits(columns, len(order))
+    order = filtration_order(f)
+    return BitMatrix.from_bits(boundary_columns(order)[1], len(order))
 
 
 def test_clearing_matches_left_to_right_on_lower_star_boundaries():

@@ -7,6 +7,7 @@ import pytest
 
 from levelpers import (
     CriticalGrid,
+    Filtration,
     LevelBar,
     LevelBarcode,
     barcode_from_kernels,
@@ -18,9 +19,10 @@ from levelpers import (
     numbers_from_barcode,
     sublevel_barcode,
     sublevel_from_level,
+    telescope,
     VertexValuedMap,
 )
-from levelpers.report import input_to_map, parse_input
+from levelpers.report import parse_input
 from levelpers.sublevel import INF
 from conftest import (FIXTURE_MAKERS, NUMBER_FAMILIES, bumped, grid_values, outside, random_vertex_map,
                       seeded_telescopes)
@@ -358,7 +360,8 @@ def test_negation_mirrors_the_level_bars(monkeypatch):
     rng = np.random.default_rng(2023)
     maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(260)]
     maps += seeded_telescopes(20, 2024)
-    maps += [input_to_map(parse_input(job.input_text())) for job in workloads.make_jobs("level-small", 0)]
+    parsed = [parse_input(job.input_text()) for job in workloads.make_jobs("level-small", 0)]
+    maps += [telescope(p) if isinstance(p, Filtration) else p for p in parsed]  # only a map can be negated
     for f in maps:
         bc = level_barcode(f)
         neg = level_barcode(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))

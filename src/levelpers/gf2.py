@@ -5,12 +5,15 @@ the entry in row i, so a column costs one bit per row up to its highest
 entry and no rows x cols array is ever built.  Every operation runs on
 one elimination primitive: a column is reduced against a pivot table
 keyed by the lowest entry (highest row index) of each reduced column,
-optionally tracking which input columns were combined.
-Rank, kernel, image, subspace intersections, homology presentations
-(cycles mod boundaries, from one elimination of the outgoing boundary
-and one pass over boundaries then cycles), induced maps and the
-persistence pairing (column_reduce) are all read off that one
-reduction.  column_reduce visits the columns of a graded filtered
+optionally tracking which input columns were combined.  An elimination
+(_eliminate) can continue from a given pivot table, so a table grows
+column by column across calls: the band route keeps one per degree for
+a growing band and reduces the homology representatives of its end
+levels against a copy of it (level.compute_relevant_numbers).  Rank,
+kernel, image, subspace intersections, homology presentations (cycles
+mod boundaries, from one elimination of the outgoing boundary and one
+pass over boundaries then cycles), induced maps and the persistence
+pairing (column_reduce) are all read off that one reduction.  column_reduce visits the columns of a graded filtered
 boundary matrix by decreasing dimension and skips every column that a
 reduced column one dimension up already pairs (clearing), so the
 columns that would only be reduced to zero cost no additions.
@@ -101,14 +104,19 @@ def _reduce(column: int, pivots: dict, combo: int = 0) -> tuple[int, int]:
     return column, combo
 
 
-def _eliminate(columns, track: bool = False):
-    """Reduce columns left to right, each against the ones before it.
+def _eliminate(columns, track: bool = False, pivots: dict | None = None):
+    """Reduce columns left to right, each against the pivot table and the
+    columns before it.
 
-    Returns (pivots, reduced): the final pivot table and, per column, its
-    (residual, combination).  With track set, bit k of a combination is
-    input column k, so a zero residual gives a kernel vector.
+    pivots (default: a new empty table) is extended in place with every
+    column that stays nonzero, so a later call continues where this one
+    stopped.  Returns (pivots, reduced): the final pivot table and, per
+    column, its (residual, combination).  With track set, bit k of a
+    combination is input column k, so a zero residual gives a kernel
+    vector; the combinations already in the table add their own bits.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     reduced = []
     for j, column in enumerate(columns):
         column, combo = _reduce(column, pivots, 1 << j if track else 0)
@@ -216,14 +224,9 @@ def homology_presentation(boundary_in: BitMatrix, boundary_out: BitMatrix) -> Ho
         raise ValueError("boundary matrices do not share the middle chain group")
     if n and boundary_in.cols and not (boundary_out @ boundary_in).is_zero():
         raise ValueError("boundary composition is nonzero: malformed chain complex")
-    pivots: dict[int, tuple[int, int]] = {}
-    boundaries: list[int] = []
+    pivots, reduced = _eliminate(boundary_in.columns)
+    boundaries = [b for b, (residual, _) in zip(boundary_in.columns, reduced) if residual]
     reps: list[int] = []
-    for b in boundary_in.columns:
-        residual, _ = _reduce(b, pivots)
-        if residual:
-            pivots[residual.bit_length() - 1] = (residual, 0)
-            boundaries.append(b)
     for residual, z in _eliminate(boundary_out.columns, track=True)[1]:
         if not residual:  # z is a cycle
             residual, combo = _reduce(z, pivots, 1 << len(reps))

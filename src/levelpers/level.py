@@ -43,12 +43,15 @@ last one that holds a number, so each table has one stored form and two
 tables are equal exactly when their accessors agree.  Both routes write
 the arrays by position: numbers_from_barcode fills them with running
 sums of bar-end counts, in the degrees of its bars;
-compute_relevant_numbers computes them directly, band by band, from
-level and interlevel cell complexes, independent of the cone
-reduction, and serves as its oracle in the checks and tests.
-It is the only code here that needs a float inside a gap, at which it
-slices the level.  Both conversions, the document rows and entries
-read the arrays by position.  Only kernel_overlap, filled from the bars
+compute_relevant_numbers computes them directly from the cells of the
+levels and the bands between them, independent of the cone reduction,
+and serves as its oracle in the checks and tests.  It sweeps each row
+of the table once: the band from one level grows a slab and a slice at
+a time, its boundary reduction is extended rather than redone, and
+each pair is read off by reducing the two levels' homology
+representatives against it.  It is the only code here that needs a
+float inside a gap, at which it slices the level.  Both conversions,
+the document rows and entries read the arrays by position.  Only kernel_overlap, filled from the bars
 open at both ends in one sweep per grid position, is sparse.
 """
 
@@ -57,12 +60,16 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import sub
 
 from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values
-from .gf2 import BitMatrix, column_reduce, image_basis, induced_map, intersection_dim, kernel_basis
-from .slabs import SlabBuilder, homology_of, include_level
+from .gf2 import BitMatrix, Subspace, _eliminate, column_reduce, intersection_dim
+# image_basis, induced_map, kernel_basis and include_level are not called
+# here; they stay bound in this module because bench/tracing.py wraps
+# them here by name
+from .gf2 import image_basis, induced_map, kernel_basis  # noqa: F401
+from .slabs import SlabBuilder, homology_of, include_level  # noqa: F401
 from .sublevel import INF, SublevelBarcode, boundary_columns, filtration_order, sublevel_barcode
 
 _log = logging.getLogger("levelpers")
@@ -355,24 +362,37 @@ class RelevantNumbers:
 def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, *,
                              grid: CriticalGrid | None = None,
                              builder: SlabBuilder | None = None) -> RelevantNumbers:
-    """Compute the five number families directly from cell complexes.
+    """Compute the five number families directly from the cells of the
+    levels and of the bands between them.
 
-    For every pair of grid positions i < j the level complexes are
-    included into the interlevel complex; ranks, kernels and image
-    overlaps of the induced maps fill the arrays at (i, j), in degrees
-    0..max_degree (default: the complex dimension), of which the table
-    keeps those up to the last that holds a number.  Degrees where both
-    levels have no homology are skipped without building the band.
+    The levels at the grid values and the band between the first and the
+    last are one chain of chunks (SlabBuilder.chunks), whose cells are
+    numbered once, per dimension, in chain order; the band between two
+    grid values is a stretch of it.  One sweep per row i grows the band
+    from the level at i: a pivot table per degree r holds the reduced
+    boundary columns of the band's (r + 1)-cells, and each step to the
+    next grid value j reduces only the columns of the chunks it adds.
+    The pair (i, j) is read off that table: the homology representatives
+    of the levels at i and at j, numbered as their slices in the chain,
+    are reduced against a copy of it with tracking, so a representative
+    combination that reduces to zero is a class that dies in the band.
+    The two kernels give up_kernel and down_kernel, and image_overlap is
+    rank_i + rank_j - rank(both), in degrees 0..max_degree (default: the
+    complex dimension), of which the table keeps those up to the last
+    that holds a number.  Degrees where both levels have no homology are
+    skipped.  No band complex is built: the chain is checked instead,
+    each (r + 1)-cell's boundary to square to zero and each level to
+    equal its slice cell for cell, with a ValueError naming the cell.
     Position i is sliced at grid.value(i), so a gap that holds no float
     is a ValueError naming it.
 
     builder (default: a new one) must be a SlabBuilder of f; passing
     the same builder to several calls on one map, as run_checks does,
-    builds each level and band complex and its homology once, and
-    reduces each level-to-band map once: a band keeps, per degree, the
-    overlap and the two kernels of its pair, so a later call on a wider
+    builds each chunk and level complex and its homology once, and
+    reads each pair once: the builder keeps, per pair of values and per
+    degree, the overlap and the two kernels, so a later call on a wider
     grid or more degrees reduces only the pairs and degrees it has not
-    seen.  Every number is still computed from the complexes.
+    seen, and sweeps only the rows that hold one.
     """
     if builder is None:
         builder = SlabBuilder(f)
@@ -386,6 +406,7 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     degrees = range(top + 1)
     pts = [grid.value(i) for i in range(n)]
     levels = [builder.level(x) for x in pts]
+    columns, starts, ends = _chain(builder.chunks(*pts), pts, levels, top) if pts else ([], [], [])
     presentations = [[homology_of(c, r) for r in degrees] for c in levels]
     level = [[presentations[i][r].betti for i in range(n)] for r in degrees]
     overlap = [[[row[i]] + [0] * (n - 1 - i) for i in range(n)] for row in level]  # level_rank on the diagonal
@@ -394,23 +415,29 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     both: list[dict] = [{} for _ in degrees]
     kernels = {}  # (r, i, j): the nonzero kernel from the level at i into the band between i and j
 
+    def reps(k: int, r: int) -> list[int]:
+        """The homology representatives of the level at k, numbered as its slice in the chain."""
+        return [z << starts[k][r] for z in presentations[k][r].homology_reps]
+
     for i, x in enumerate(pts):
+        pairs, todo = [], {}  # (j, needed degrees, known readings); j -> the degrees to read
         for j in range(i + 1, n):
             needed = [r for r in degrees if level[r][i] or level[r][j]]
-            if not needed:
-                continue
-            band = builder.interlevel(x, pts[j])
-            known = band._pairs  # per degree: the overlap and the two kernels of this pair, once reduced
-            missing = [r for r in needed if r not in known]
-            if missing:
-                inc_x = include_level(levels[i], band)
-                inc_y = include_level(levels[j], band)
-            for r in missing:
-                target = homology_of(band, r)
-                from_low = induced_map(presentations[i][r], target, inc_x.chain_matrix(r))
-                from_high = induced_map(presentations[j][r], target, inc_y.chain_matrix(r))
-                known[r] = (intersection_dim(image_basis(from_low), image_basis(from_high)),
-                            kernel_basis(from_low), kernel_basis(from_high))
+            if needed:
+                known = builder._pairs.setdefault((x, pts[j]), {})
+                pairs.append((j, needed, known))
+                missing = [r for r in needed if r not in known]
+                if missing:
+                    todo[j] = missing
+        if todo:  # sweep the row up to its last pair to read
+            tables = {r: {} for missing in todo.values() for r in missing}  # r -> the band's reduced (r + 1)-boundaries
+            for j in range(i, max(todo) + 1):
+                added = starts[i] if j == i else ends[j - 1]  # per dimension, the first cell this step adds
+                for r, table in tables.items():
+                    _eliminate(columns[r + 1][added[r + 1]:ends[j][r + 1]], pivots=table)
+                for r in todo.get(j, ()):
+                    builder._pairs[(x, pts[j])][r] = _read_pair(tables[r], reps(i, r), reps(j, r))
+        for j, needed, known in pairs:
             for r in needed:
                 overlap[r][i][j - i], ker_low, ker_high = known[r]
                 up[r][i][j - i] = ker_low.dim
@@ -431,6 +458,93 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
                             both[r].setdefault(i, {})[(u, d)] = m
 
     return RelevantNumbers(grid, overlap, up, down, both)
+
+
+def _chain(chunks: list, pts: list[float], levels: list, top: int) -> tuple[list, list, list]:
+    """Number and check the cells of a chain of chunks, in dimensions
+    0..top + 1.
+
+    Returns (columns, starts, ends): columns[d] lists the boundary of each
+    d-cell, d >= 1, as bits over the (d - 1)-cells, each dimension
+    numbered in chain order; starts[k][d] and ends[k][d] bound the
+    numbers of the d-cells of the slice at pts[k].  Raises a ValueError
+    naming the cell where a boundary holds a face that is not a cell one
+    dimension down, where a boundary does not square to zero, and where
+    the level complex at pts[k] differs from its slice in the order of
+    its cells or in a boundary.
+    """
+    index: list[dict] = [{} for _ in range(top + 2)]  # per dimension: cell -> its number in the chain
+    starts, ends = [], []
+    for chunk in chunks:
+        at_level = len(starts) < len(pts) and chunk.lo == chunk.hi == pts[len(starts)]
+        if at_level:
+            starts.append([len(ix) for ix in index])
+        for d, ix in enumerate(index):
+            cells = chunk.by_dim.get(d, [])
+            ix.update(zip(cells, range(len(ix), len(ix) + len(cells))))
+        if at_level:
+            ends.append([len(ix) for ix in index])
+            x, lv = chunk.lo, levels[len(ends) - 1]
+            for d in range(top + 2):
+                cells = chunk.by_dim.get(d, [])
+                if lv.cells_of_dim(d) != cells:
+                    cell = next(b if a is None else a for a, b in zip_longest(lv.cells_of_dim(d), cells) if a != b)
+                    raise ValueError(f"level cell {cell} is out of place against the band's slice at {x}")
+                for cell in cells:
+                    if lv.boundary.get(cell) != chunk.boundary[cell]:
+                        raise ValueError(f"boundary mismatch for level cell {cell} against the band's slice at {x}")
+    columns = [[0] * len(index[0])]
+    for d in range(1, top + 2):
+        faces, below, out = index[d - 1], columns[d - 1], []
+        for chunk in chunks:
+            for cell in chunk.by_dim.get(d, []):
+                bits = twice = 0
+                for t in chunk.boundary[cell]:
+                    k = faces.get(t)
+                    if k is None:
+                        raise ValueError(f"boundary of {cell} references {t}, not a cell of dimension {d - 1}")
+                    bits |= 1 << k
+                    twice ^= below[k]
+                if twice:
+                    raise ValueError(f"boundary of boundary is nonzero for {cell}")
+                out.append(bits)
+        columns.append(out)
+    return columns, starts, ends
+
+
+def _kernel_in_band(table: dict, reps: list[int]) -> tuple[Subspace, dict]:
+    """The kernel of the map from a level's homology into a band, and the
+    band's table extended by the level's classes.
+
+    table is the pivot table of the band's reduced boundary columns and
+    reps are the level's homology representatives, numbered as in the
+    band; a combination of them that reduces to zero against a copy of
+    the table is a class that is a boundary in the band.  The table
+    itself is left as it is, and returned as it is for no
+    representatives.
+    """
+    if not reps:
+        return Subspace(0, BitMatrix.zeros(0, 0)), table
+    pivots = dict(table)
+    _, reduced = _eliminate(reps, track=True, pivots=pivots)
+    return Subspace(len(reps), BitMatrix.from_bits([c for residual, c in reduced if not residual], len(reps))), pivots
+
+
+def _read_pair(table: dict, low: list[int], high: list[int]) -> tuple[int, Subspace, Subspace]:
+    """(image overlap, kernel from the low level, kernel from the high
+    level) of the maps from two levels into the band between them.
+
+    The overlap of the two images is rank_low + rank_high - rank(both):
+    what the high classes add beyond the band's boundaries and the low
+    classes, taken from rank_high.
+    """
+    ker_low, with_low = _kernel_in_band(table, low)
+    ker_high, _ = _kernel_in_band(table, high)
+    overlap = 0
+    if ker_low.dim < len(low) and ker_high.dim < len(high):  # both images are nonzero
+        added = sum(1 for residual, _ in _eliminate(high, pivots=with_low)[1] if residual)
+        overlap = len(high) - ker_high.dim - added
+    return overlap, ker_low, ker_high
 
 
 def numbers_from_barcode(bc: LevelBarcode) -> RelevantNumbers:

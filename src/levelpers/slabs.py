@@ -20,7 +20,11 @@ nonempty facet of its carrier, plus, for a slab, to the carrier at the
 two end slices, kept at codimension one.
 
 A builder makes the cells of each slice and slab once, as a Chunk: its
-cells grouped by dimension, each group sorted by carrier.  It checks
+cells grouped by dimension, each group sorted by carrier.  Only a
+simplex whose value span holds [lo, hi] can carry a cell of its own
+there, so a chunk visits the simplices whose minimum is at most lo, a
+prefix of them sorted by minimum, and of those the ones whose maximum
+is at least hi.  It checks
 each chunk once, when it is made, against its own cells and, for a
 slab, its two end slices: every face is present one dimension down,
 every slice cell sits at the chunk's value, and the boundary squares to
@@ -33,14 +37,18 @@ checked chunks in (lo, hi) order, slice s0, slab (s0, s1), slice s1,
 cells, so it needs no sort and no check of its own; validate(c) still
 checks a whole complex.
 
-SlabBuilder(f).interlevel(*values) builds every complex: it slices
-[values[0], values[-1]] at every given value and at every vertex value
-in between, so one value gives a level, two a band and more a refined
-band; level(t) is interlevel(t).  A builder memoizes the chunk of each
-slice and slab and, in one dict keyed by the values with repeats
-merged, every complex it has built; each complex caches its homology
-presentations, so one builder shared by all the computations on one
-map builds, checks and reduces each complex once.
+SlabBuilder(f).chunks(*values) is the one slicing rule: the chunks of
+[values[0], values[-1]] sliced at every given value and at every vertex
+value in between, in (lo, hi) order.  interlevel(*values) is the complex
+of those chunks, so one value gives a level, two a band and more a
+refined band; level(t) is interlevel(t).  The band route takes the
+chunks alone and builds no band complex (level.compute_relevant_numbers).
+A builder memoizes the chunk of each slice and slab and, in one dict
+keyed by the values with repeats merged, every complex it has built;
+each complex caches its homology presentations, so one builder shared
+by all the computations on one map builds, checks and reduces each
+complex once.  It also keeps the band route's reading of each pair of
+level values, per degree.
 include_level reads the level value and the interval off the two
 complexes it is given.  A Cell is a named tuple, so hashing it runs in
 C; as a tuple it also equals the plain (carrier, lo, hi) tuple with the
@@ -89,9 +97,11 @@ class Cell(NamedTuple):
 
 
 class Chunk(NamedTuple):
-    """The cells of one slice or slab: by dimension, each list sorted by
-    carrier, with their dimensions and boundaries."""
+    """The cells of the slice lo == hi or the slab lo < hi: by dimension,
+    each list sorted by carrier, with their dimensions and boundaries."""
 
+    lo: float
+    hi: float
     by_dim: dict[int, list[Cell]]
     dims: dict[Cell, int]
     boundary: dict[Cell, frozenset[Cell]]
@@ -122,7 +132,6 @@ class CellComplex:
         self.cells = [c for d in range(self.max_dim + 1) for c in self.cells_of_dim(d)]
         self._bmat: dict[int, BitMatrix] = {}
         self._hom: dict[int, HomologyPresentation] = {}
-        self._pairs: dict[int, tuple] = {}  # compute_relevant_numbers' results for this band, per degree
 
     @property
     def max_dim(self) -> int:
@@ -184,12 +193,23 @@ def _check(cells, dims: dict[Cell, int], boundary: dict[Cell, frozenset[Cell]], 
             raise ValueError(f"boundary of boundary is nonzero for {cell}: {sorted(chain, key=repr)}")
 
 
+def _merged(values) -> tuple[float, ...]:
+    """values as floats with repeats merged, or a ValueError unless there
+    is one at least and they never decrease."""
+    values = tuple(map(float, values))
+    if not values or any(x > y for x, y in zip(values, values[1:])):
+        raise ValueError("interval endpoints are reversed" if values else "no values to slice at")
+    return tuple(dict.fromkeys(values))
+
+
 class SlabBuilder:
-    """Builds level and interlevel complexes of one map.
+    """Builds the chunks and the level and interlevel complexes of one map.
 
     Reads the value span (min, max) of every simplex once, and memoizes
     the checked chunk of each slice and slab, which is shared verbatim
-    between every complex that uses it, and every complex it builds.
+    between every chain and complex that uses it, and every complex it
+    builds.  _pairs memoizes compute_relevant_numbers' reading of each
+    pair of level values, per degree.
     """
 
     def __init__(self, f: VertexValuedMap) -> None:
@@ -197,8 +217,12 @@ class SlabBuilder:
         self._values = sorted(set(f.values[v] for v in f.complex.vertices))
         value = f.values.__getitem__
         self._span = {s: (min(map(value, s)), max(map(value, s))) for s in f.complex.simplices}
+        # (min, position in complex order, max, simplex), by min: a chunk at lo visits a prefix
+        self._by_min = sorted((mn, p, mx, s) for p, (s, (mn, mx)) in enumerate(self._span.items()))
+        self._mins = [mn for mn, _, _, _ in self._by_min]
         self._chunks: dict[tuple[float, float], Chunk] = {}
         self._complexes: dict[tuple[float, ...], CellComplex] = {}
+        self._pairs: dict[tuple[float, float], dict[int, tuple]] = {}
 
     def _cell(self, simplex: Simplex, lo: float, hi: float) -> tuple[Cell, int] | None:
         """The cell a simplex meets in the slice lo == hi or the slab lo < hi,
@@ -220,7 +244,9 @@ class SlabBuilder:
         key = (lo, hi)
         if key not in self._chunks:
             dims: dict[Cell, int] = {}
-            for simplex in self._span:
+            # only a simplex whose span holds [lo, hi] carries a cell of its own here; visited in complex order
+            meeting = sorted((p, s) for _, p, mx, s in self._by_min[:bisect.bisect_right(self._mins, lo)] if mx >= hi)
+            for _, simplex in meeting:
                 met = self._cell(simplex, lo, hi)
                 if met is not None and met[0] == (simplex, lo, hi):  # its own cell, not a face's
                     dims[met[0]] = met[1]
@@ -240,27 +266,32 @@ class SlabBuilder:
                 near_dims = {**ends[0].dims, **dims, **ends[1].dims}
                 near_boundary = {**ends[0].boundary, **boundary, **ends[1].boundary}
             _check(dims, near_dims, near_boundary, key)
-            self._chunks[key] = Chunk(by_dim, dims, boundary)
+            self._chunks[key] = Chunk(lo, hi, by_dim, dims, boundary)
         return self._chunks[key]
+
+    def chunks(self, *values: float) -> list[Chunk]:
+        """The checked chunks of f^-1([values[0], values[-1]]) in (lo, hi)
+        order, slice s0, slab (s0, s1), slice s1, ..., sliced at every
+        given value and at every vertex value in between.  Equal values
+        count once."""
+        key = _merged(values)
+        inside = self._values[bisect.bisect_right(self._values, key[0]):bisect.bisect_left(self._values, key[-1])]
+        slices = sorted({*key, *inside})
+        chunks = [self._chunk(slices[0], slices[0])]
+        for lo, hi in zip(slices, slices[1:]):
+            chunks += (self._chunk(lo, hi), self._chunk(hi, hi))
+        return chunks
 
     def level(self, t: float) -> CellComplex:
         return self.interlevel(t)
 
     def interlevel(self, *values: float) -> CellComplex:
-        """The complex of f^-1([values[0], values[-1]]), sliced at every
-        given value and at every vertex value in between: one value gives
-        a level, two a band, more a refined band.  Equal values count once."""
-        values = tuple(map(float, values))
-        if not values or any(x > y for x, y in zip(values, values[1:])):
-            raise ValueError("interval endpoints are reversed" if values else "no values to slice at")
-        key = tuple(dict.fromkeys(values))
+        """The complex of the chunks(*values): one value gives a level,
+        two a band, more a refined band.  Equal values count once."""
+        key = _merged(values)
         if key not in self._complexes:
-            inside = self._values[bisect.bisect_right(self._values, key[0]):bisect.bisect_left(self._values, key[-1])]
-            slices = sorted({*key, *inside})
-            chunks = [self._chunk(slices[0], slices[0])]
-            for lo, hi in zip(slices, slices[1:]):  # slice s0, slab (s0, s1), slice s1, ...
-                chunks += (self._chunk(lo, hi), self._chunk(hi, hi))
-            self._complexes[key] = CellComplex(chunks, tuple(slices))
+            chunks = self.chunks(*key)
+            self._complexes[key] = CellComplex(chunks, tuple(c.lo for c in chunks[::2]))
         return self._complexes[key]
 
 

@@ -311,27 +311,30 @@ def test_widened_grid_reduces_only_the_pairs_at_its_new_values(monkeypatch):
     # redundant_critical_invariance reruns the band route with one more critical value
     import levelpers.level as level
 
-    induced_map = level.induced_map
-    widened = []  # per widened call: (grid, builder, the targets of its induced_map calls)
-    current = []  # the targets of the widened call under way
+    kernel_in_band = level._kernel_in_band
+    widened = []  # per widened call: (grid, builder, the pairs read before it, its per-level reductions)
+    current = []  # the reductions of the widened call under way
+
+    def readings(builder):
+        return {(x, y, r) for (x, y), known in builder._pairs.items() for r in known}
 
     def numbers(f, max_degree=None, *, grid=None, builder=None):
         if grid is None:
             return compute_relevant_numbers(f, max_degree, builder=builder)
-        widened.append((grid, builder, []))
-        current.append(widened[-1][2])
+        widened.append((grid, builder, readings(builder), []))
+        current.append(widened[-1][3])
         try:
             return compute_relevant_numbers(f, max_degree, grid=grid, builder=builder)
         finally:
             current.pop()
 
-    def counting(source, target, chain):
+    def counting(table, reps):
         if current:
-            current[-1].append(target)
-        return induced_map(source, target, chain)
+            current[-1].append(reps)
+        return kernel_in_band(table, reps)
 
     monkeypatch.setattr(report, "compute_relevant_numbers", numbers)
-    monkeypatch.setattr(level, "induced_map", counting)
+    monkeypatch.setattr(level, "_kernel_in_band", counting)
     rng = np.random.default_rng(52)
     maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(20)]
     reduced = 0
@@ -342,10 +345,9 @@ def test_widened_grid_reduces_only_the_pairs_at_its_new_values(monkeypatch):
         if not results["redundant_critical_invariance"].detail.startswith("probe at"):
             assert widened == []
             continue
-        ((wide, builder, targets),) = widened
+        ((wide, builder, before, reductions),) = widened
         old = set(grid_values(critical_values(f)))
         pts = grid_values(wide)
-        band_of = {id(c._hom[r]): c.slice_values for c in builder._complexes.values() for r in c._hom}
         expected = 0
         for i, x in enumerate(pts):
             for y in pts[i + 1:]:
@@ -354,11 +356,12 @@ def test_widened_grid_reduces_only_the_pairs_at_its_new_values(monkeypatch):
                 ends = builder.level(x), builder.level(y)
                 expected += 2 * sum(1 for r in range(f.complex.dim + 1)
                                     if any(homology_of(c, r).betti for c in ends))
-        assert len(targets) == expected
-        for target in targets:
-            ends = band_of[id(target)][0], band_of[id(target)][-1]
-            assert not {*ends} <= old  # every reduced pair holds a new value
-        reduced += len(targets)
+        assert len(reductions) == expected
+        read = readings(builder) - before
+        assert len(reductions) == 2 * len(read)  # the levels at both ends of each pair read
+        for x, y, _ in read:
+            assert not {x, y} <= old  # every reduced pair holds a new value
+        reduced += len(reductions)
     assert reduced > 100
 
 

@@ -198,11 +198,15 @@ def test_one_constructor_for_levels_bands_and_refined_bands(square_circle):
     assert refined.slice_values == (0.0, 0.5, 1.0, 2.0)
     assert builder.interlevel(0.0, 0.5, 0.5, 2.0) is refined and refined is not band
     assert builder.interlevel(0.0, 1.0, 2.0).slice_values == band.slice_values
-    for values in ((2.0, 0.0), (0.0, 2.0, 1.0), (1.0, 0.0, 1.0)):  # the order is checked before merging
-        with pytest.raises(ValueError, match="interval endpoints are reversed"):
-            builder.interlevel(*values)
-    with pytest.raises(ValueError, match="no values to slice at"):
-        builder.interlevel()
+    chain = builder.chunks(0, 0.0, 2.0)  # the chunks every complex on [0, 2] is assembled from
+    assert [(c.lo, c.hi) for c in chain] == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (2.0, 2.0)]
+    assert [c.dims for c in chain[::2]] == [builder.level(t).dims for t in band.slice_values]
+    for make in (builder.interlevel, builder.chunks):
+        for values in ((2.0, 0.0), (0.0, 2.0, 1.0), (1.0, 0.0, 1.0)):  # the order is checked before merging
+            with pytest.raises(ValueError, match="interval endpoints are reversed"):
+                make(*values)
+        with pytest.raises(ValueError, match="no values to slice at"):
+            make()
 
 
 def assembled(f, rng):

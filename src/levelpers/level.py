@@ -414,10 +414,9 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
     both: list[dict] = [{} for _ in degrees]
     kernels = {}  # (r, i, j): the nonzero kernel from the level at i into the band between i and j
-
-    def reps(k: int, r: int) -> list[int]:
-        """The homology representatives of the level at k, numbered as its slice in the chain."""
-        return [z << starts[k][r] for z in presentations[k][r].homology_reps]
+    # reps[k][r]: the homology representatives of the level at k, numbered as its slice in the chain
+    reps = [[[z << starts[k][r] for z in p.homology_reps] for r, p in enumerate(row)]
+            for k, row in enumerate(presentations)]
 
     for i, x in enumerate(pts):
         pairs, todo = [], {}  # (j, needed degrees, known readings); j -> the degrees to read
@@ -436,7 +435,7 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
                 for r, table in tables.items():
                     _eliminate(columns[r + 1][added[r + 1]:ends[j][r + 1]], pivots=table)
                 for r in todo.get(j, ()):
-                    builder._pairs[(x, pts[j])][r] = _read_pair(tables[r], reps(i, r), reps(j, r))
+                    builder._pairs[(x, pts[j])][r] = _read_pair(tables[r], reps[i][r], reps[j][r])
         for j, needed, known in pairs:
             for r in needed:
                 overlap[r][i][j - i], ker_low, ker_high = known[r]

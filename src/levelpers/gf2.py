@@ -13,10 +13,12 @@ levels against a copy of it (level.compute_relevant_numbers).  Rank,
 kernel, image, subspace intersections, homology presentations (cycles
 mod boundaries, from one elimination of the outgoing boundary and one
 pass over boundaries then cycles), induced maps and the persistence
-pairing (column_reduce) are all read off that one reduction.  column_reduce visits the columns of a graded filtered
-boundary matrix by decreasing dimension and skips every column that a
-reduced column one dimension up already pairs (clearing), so the
-columns that would only be reduced to zero cost no additions.
+pairing (column_reduce) are all read off that one reduction.
+
+column_reduce visits the columns of a graded filtered boundary matrix
+by decreasing dimension and skips every column that a reduced column
+one dimension up already pairs (clearing), so the columns that would
+only be reduced to zero cost no additions.
 """
 
 from __future__ import annotations

@@ -51,8 +51,9 @@ a time, its boundary reduction is extended rather than redone, and
 each pair is read off by reducing the two levels' homology
 representatives against it.  It is the only code here that needs a
 float inside a gap, at which it slices the level.  Both conversions,
-the document rows and entries read the arrays by position.  Only kernel_overlap, filled from the bars
-open at both ends in one sweep per grid position, is sparse.
+the document rows and entries read the arrays by position.  Only
+kernel_overlap, filled from the bars open at both ends in one sweep per
+grid position, is sparse.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from operator import sub
 
-from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values
+from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values, telescope
 from .gf2 import BitMatrix, Subspace, _eliminate, column_reduce, intersection_dim
 # image_basis, induced_map, kernel_basis and include_level are not called
 # here; they stay bound in this module because bench/tracing.py wraps
@@ -359,41 +360,47 @@ class RelevantNumbers:
         return f"RelevantNumbers({degrees}, {pairs} pairs)"
 
 
-def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, *,
+def compute_relevant_numbers(f: VertexValuedMap | Filtration, max_degree: int | None = None, *,
                              grid: CriticalGrid | None = None,
                              builder: SlabBuilder | None = None) -> RelevantNumbers:
     """Compute the five number families directly from the cells of the
     levels and of the bands between them.
 
-    The levels at the grid values and the band between the first and the
-    last are one chain of chunks (SlabBuilder.chunks), whose cells are
-    numbered once, per dimension, in chain order; the band between two
-    grid values is a stretch of it.  One sweep per row i grows the band
-    from the level at i: a pivot table per degree r holds the reduced
-    boundary columns of the band's (r + 1)-cells, and each step to the
-    next grid value j reduces only the columns of the chunks it adds.
-    The pair (i, j) is read off that table: the homology representatives
-    of the levels at i and at j, numbered as their slices in the chain,
-    are reduced against a copy of it with tracking, so a representative
-    combination that reduces to zero is a class that dies in the band.
-    The two kernels give up_kernel and down_kernel, and image_overlap is
-    rank_i + rank_j - rank(both), in degrees 0..max_degree (default: the
-    complex dimension), of which the table keeps those up to the last
-    that holds a number.  Degrees where both levels have no homology are
-    skipped.  No band complex is built: the chain is checked instead,
-    each (r + 1)-cell's boundary to square to zero and each level to
-    equal its slice cell for cell, with a ValueError naming the cell.
-    Position i is sliced at grid.value(i), so a gap that holds no float
-    is a ValueError naming it.
+    The band between the first and the last grid value is one complex,
+    the chain builder.interlevel(*values), whose cells are numbered per
+    dimension in chain order; the band between two grid values is a
+    stretch of it.  So is each level, cell for cell and boundary for
+    boundary, since both are assembled from the same memoized chunks.
+    One sweep per row i grows the band from the level at i: a pivot
+    table per degree r holds the reduced boundary columns of the band's
+    (r + 1)-cells, and each step to the next grid value j reduces only
+    the columns of the chunks it adds.  The pair (i, j) is read off that
+    table: the homology representatives of the levels at i and at j,
+    numbered as their slices in the chain, are reduced against a copy of
+    it with tracking, so a representative combination that reduces to
+    zero is a class that dies in the band.  The two kernels give
+    up_kernel and down_kernel, and image_overlap is rank_i + rank_j -
+    rank(both), in degrees 0..max_degree (default: the complex
+    dimension), of which the table keeps those up to the last that holds
+    a number.  Degrees where both levels have no homology are skipped.
+    No other band is built, and nothing is checked here: the builder
+    checks each chunk once, when it makes it.  Position i is sliced at
+    grid.value(i), so a gap that holds no float is a ValueError naming
+    it.  A filtration is read as its telescope, as run_checks reads it.
 
-    builder (default: a new one) must be a SlabBuilder of f; passing
-    the same builder to several calls on one map, as run_checks does,
-    builds each chunk and level complex and its homology once, and
-    reads each pair once: the builder keeps, per pair of values and per
-    degree, the overlap and the two kernels, so a later call on a wider
-    grid or more degrees reduces only the pairs and degrees it has not
-    seen, and sweeps only the rows that hold one.
+    builder (default: a new one) must be a SlabBuilder of f, or of the
+    telescope of a filtration f; passing the same builder to several
+    calls on one map, as run_checks does, builds each chunk and level
+    complex and its homology once, and reads each pair once: the builder
+    keeps, per pair of values and per degree, the overlap and the two
+    kernels, so a later call on a wider grid or more degrees reduces
+    only the pairs and degrees it has not seen, and sweeps only the rows
+    that hold one.
     """
+    if isinstance(f, Filtration):
+        f = telescope(f)
+        if builder is not None and builder.f == f:  # made for an equal telescope
+            f = builder.f
     if builder is None:
         builder = SlabBuilder(f)
     elif builder.f is not f:
@@ -406,7 +413,16 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
     degrees = range(top + 1)
     pts = [grid.value(i) for i in range(n)]
     levels = [builder.level(x) for x in pts]
-    columns, starts, ends = _chain(builder.chunks(*pts), pts, levels, top) if pts else ([], [], [])
+    chain = builder.interlevel(*pts)
+    columns = [chain.boundary_matrix(r + 1).columns for r in degrees]  # per degree r: the (r + 1)-cells' boundaries
+    starts, ends, count = [], [], [0] * (top + 2)  # per level and dimension: its first and past-last cell in the chain
+    for chunk in builder.chunks(*pts):
+        at_level = chunk.lo == chunk.hi == pts[len(starts)]
+        if at_level:
+            starts.append(count)
+        count = [k + len(chunk.by_dim.get(d, ())) for d, k in enumerate(count)]
+        if at_level:
+            ends.append(count)
     presentations = [[homology_of(c, r) for r in degrees] for c in levels]
     level = [[presentations[i][r].betti for i in range(n)] for r in degrees]
     overlap = [[[row[i]] + [0] * (n - 1 - i) for i in range(n)] for row in level]  # level_rank on the diagonal
@@ -433,7 +449,7 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
             for j in range(i, max(todo) + 1):
                 added = starts[i] if j == i else ends[j - 1]  # per dimension, the first cell this step adds
                 for r, table in tables.items():
-                    _eliminate(columns[r + 1][added[r + 1]:ends[j][r + 1]], pivots=table)
+                    _eliminate(columns[r][added[r + 1]:ends[j][r + 1]], pivots=table)
                 for r in todo.get(j, ()):
                     builder._pairs[(x, pts[j])][r] = _read_pair(tables[r], reps[i][r], reps[j][r])
         for j, needed, known in pairs:
@@ -457,58 +473,6 @@ def compute_relevant_numbers(f: VertexValuedMap, max_degree: int | None = None, 
                             both[r].setdefault(i, {})[(u, d)] = m
 
     return RelevantNumbers(grid, overlap, up, down, both)
-
-
-def _chain(chunks: list, pts: list[float], levels: list, top: int) -> tuple[list, list, list]:
-    """Number and check the cells of a chain of chunks, in dimensions
-    0..top + 1.
-
-    Returns (columns, starts, ends): columns[d] lists the boundary of each
-    d-cell, d >= 1, as bits over the (d - 1)-cells, each dimension
-    numbered in chain order; starts[k][d] and ends[k][d] bound the
-    numbers of the d-cells of the slice at pts[k].  Raises a ValueError
-    naming the cell where a boundary holds a face that is not a cell one
-    dimension down, where a boundary does not square to zero, and where
-    the level complex at pts[k] differs from its slice in the order of
-    its cells or in a boundary.
-    """
-    index: list[dict] = [{} for _ in range(top + 2)]  # per dimension: cell -> its number in the chain
-    starts, ends = [], []
-    for chunk in chunks:
-        at_level = len(starts) < len(pts) and chunk.lo == chunk.hi == pts[len(starts)]
-        if at_level:
-            starts.append([len(ix) for ix in index])
-        for d, ix in enumerate(index):
-            cells = chunk.by_dim.get(d, [])
-            ix.update(zip(cells, range(len(ix), len(ix) + len(cells))))
-        if at_level:
-            ends.append([len(ix) for ix in index])
-            x, lv = chunk.lo, levels[len(ends) - 1]
-            for d in range(top + 2):
-                cells = chunk.by_dim.get(d, [])
-                if lv.cells_of_dim(d) != cells:
-                    cell = next(b if a is None else a for a, b in zip_longest(lv.cells_of_dim(d), cells) if a != b)
-                    raise ValueError(f"level cell {cell} is out of place against the band's slice at {x}")
-                for cell in cells:
-                    if lv.boundary.get(cell) != chunk.boundary[cell]:
-                        raise ValueError(f"boundary mismatch for level cell {cell} against the band's slice at {x}")
-    columns = [[0] * len(index[0])]
-    for d in range(1, top + 2):
-        faces, below, out = index[d - 1], columns[d - 1], []
-        for chunk in chunks:
-            for cell in chunk.by_dim.get(d, []):
-                bits = twice = 0
-                for t in chunk.boundary[cell]:
-                    k = faces.get(t)
-                    if k is None:
-                        raise ValueError(f"boundary of {cell} references {t}, not a cell of dimension {d - 1}")
-                    bits |= 1 << k
-                    twice ^= below[k]
-                if twice:
-                    raise ValueError(f"boundary of boundary is nonzero for {cell}")
-                out.append(bits)
-        columns.append(out)
-    return columns, starts, ends
 
 
 def _kernel_in_band(table: dict, reps: list[int]) -> tuple[Subspace, dict]:

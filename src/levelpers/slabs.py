@@ -41,8 +41,9 @@ SlabBuilder(f).chunks(*values) is the one slicing rule: the chunks of
 [values[0], values[-1]] sliced at every given value and at every vertex
 value in between, in (lo, hi) order.  interlevel(*values) is the complex
 of those chunks, so one value gives a level, two a band and more a
-refined band; level(t) is interlevel(t).  The band route takes the
-chunks alone and builds no band complex (level.compute_relevant_numbers).
+refined band; level(t) is interlevel(t).  The band route builds one
+complex, the chain over its whole grid, and reads every band and level
+as a stretch of it (level.compute_relevant_numbers).
 A builder memoizes the chunk of each slice and slab and, in one dict
 keyed by the values with repeats merged, every complex it has built;
 each complex caches its homology presentations, so one builder shared

@@ -20,7 +20,9 @@ from levelpers import (
     Filtration,
     LevelBar,
     LevelBarcode,
+    SlabBuilder,
     build_complex,
+    compute_relevant_numbers,
     critical_values,
     level_barcode,
     numbers_from_barcode,
@@ -111,6 +113,16 @@ def test_filtration_passes_through_to_the_routes():
     filt = seeded_filtrations(1, 3)[0]
     assert input_to_map(filt) is filt
     assert filt.complex is filt.stages[-1]
+
+
+def test_band_route_reads_a_filtration_as_its_telescope():
+    for filt in seeded_filtrations(40, 7):
+        assert compute_relevant_numbers(filt) == numbers_from_barcode(level_barcode(filt))
+    filt = seeded_filtrations(1, 8)[0]
+    builder = SlabBuilder(telescope(filt))
+    assert compute_relevant_numbers(filt, builder=builder) == compute_relevant_numbers(builder.f, builder=builder)
+    with pytest.raises(ValueError, match="another map"):
+        compute_relevant_numbers(filt, builder=SlabBuilder(telescope(seeded_filtrations(1, 9)[0])))
 
 
 def test_only_check_telescopes(monkeypatch, tmp_path, capsys):

@@ -21,6 +21,7 @@ from .complexes import (
 )
 from .gf2 import (
     BitMatrix,
+    GradedBoundary,
     HomologyPresentation,
     Subspace,
     column_reduce,
@@ -70,6 +71,7 @@ __all__ = [
     "CellComplex",
     "CriticalGrid",
     "Filtration",
+    "GradedBoundary",
     "HomologyPresentation",
     "INF",
     "InclusionMap",

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 Simplex = tuple[int, ...]
 
@@ -47,7 +48,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self.simplices), default=0) - 1
+        return max(map(len, self.simplices), default=0) - 1
 
     def simplices_of_dim(self, d: int) -> list[Simplex]:
         return sorted(s for s in self.simplices if len(s) == d + 1)
@@ -171,18 +172,24 @@ def critical_values(f: VertexValuedMap | Filtration) -> CriticalGrid:
     return CriticalGrid(tuple(f.values.values()))
 
 
-def lower_star_filtration(f: VertexValuedMap) -> list[tuple[Simplex, float]]:
-    """Simplices ordered by (max vertex value, dimension, lexicographic).
+def lower_star_filtration(f: VertexValuedMap) -> list[list[tuple[Simplex, float]]]:
+    """The simplices of f, one list per dimension, each a list of
+    (simplex, max vertex value) pairs ordered by (value, lexicographic).
 
-    Every face precedes its cofaces, so the order is a valid filtration
-    order for column reduction.
+    Every face has at most the value of its cofaces, so entering each
+    simplex after the simplices of lower dimension and equal value gives
+    a filtration order: the order by (value, dimension, lexicographic),
+    one dimension at a time.  No sort runs over all the simplices.
     """
     value = f.values.__getitem__
-    entries = [(max(map(value, s)), len(s), s) for s in f.complex.simplices]
-    entries.sort()
-    for i, (x, _, s) in enumerate(entries):  # in place, so the keyed and the returned list never coexist
-        entries[i] = (s, x)
-    return entries
+    order: list[list] = [[] for _ in range(f.complex.dim + 1)]
+    for s in f.complex.simplices:
+        order[len(s) - 1].append(s)
+    for d, rows in enumerate(order):
+        rows.sort()  # lexicographic; the sort by value below is stable
+        values_at = [map(value, map(itemgetter(i), rows)) for i in range(d + 1)]  # by vertex position
+        order[d] = sorted(zip(rows, map(max, *values_at) if d else values_at[0]), key=itemgetter(1))
+    return order
 
 
 @dataclass
@@ -222,22 +229,23 @@ class Filtration:
         return self.stages[-1]
 
 
-def entry_filtration(filt: Filtration) -> list[tuple[Simplex, float]]:
-    """The simplices of the last stage ordered by (entry stage, dimension,
-    lexicographic), each with the time of the stage it enters.
+def entry_filtration(filt: Filtration) -> list[list[tuple[Simplex, float]]]:
+    """The simplices of the last stage, one list per dimension, each a
+    list of (simplex, time of the stage it enters) pairs ordered by
+    (entry stage, lexicographic).
 
     Every stage is closed under faces and contains the one before, so
-    every face precedes its cofaces: a valid filtration order for column
-    reduction, whose bars are those of the telescope's lower-star order.
+    no face enters after its cofaces: the order by (entry stage,
+    dimension, lexicographic), one dimension at a time, is a filtration
+    order, whose bars are those of the telescope's lower-star order.
     """
-    entries: list[tuple[Simplex, float]] = []
+    order: list[list[tuple[Simplex, float]]] = [[] for _ in range(filt.complex.dim + 1)]
     before: frozenset[Simplex] = frozenset()
     for stage, t in zip(filt.stages, filt.times):
-        new = sorted(stage.simplices - before)
-        new.sort(key=len)  # stable: lexicographic within each dimension
-        entries += [(s, t) for s in new]
+        for s in sorted(stage.simplices - before):
+            order[len(s) - 1].append((s, t))
         before = stage.simplices
-    return entries
+    return order
 
 
 def telescope(filt: Filtration) -> VertexValuedMap:

@@ -15,13 +15,18 @@ mod boundaries, from one elimination of the outgoing boundary and one
 pass over boundaries then cycles), induced maps and the persistence
 pairing (column_reduce) are all read off that one reduction.
 
-column_reduce visits the columns of a graded filtered boundary matrix
-by decreasing dimension and skips every column that a reduced column
-one dimension up already pairs (clearing), so the columns that would
-only be reduced to zero cost no additions.
+The persistence pairing (column_reduce) takes a filtered boundary
+matrix one dimension at a time (GradedBoundary): each dimension lists
+its cells in entry order, and bit i of a d-column is the i-th cell of
+dimension d - 1, so a column is only as wide as the dimension below.
+It reduces the dimensions from the top down and skips every column
+that a reduced column one dimension up already pairs (clearing), so
+the columns that would only be reduced to zero cost no additions.
 """
 
 from __future__ import annotations
+
+from operator import gt
 
 __all__ = [
     "BitMatrix",
@@ -33,6 +38,7 @@ __all__ = [
     "intersection_dim",
     "homology_presentation",
     "induced_map",
+    "GradedBoundary",
     "column_reduce",
 ]
 
@@ -260,63 +266,74 @@ def induced_map(src: HomologyPresentation, dst: HomologyPresentation,
     return BitMatrix.from_bits(columns, dst.betti)
 
 
-def column_reduce(ordered_boundary: BitMatrix):
-    """Persistence pairing of a filtered boundary matrix, with clearing.
+class GradedBoundary:
+    """A filtered boundary matrix, one dimension at a time.
 
-    Columns must be ordered by a filtration: every nonzero row index of
-    column j has to precede j.  The matrix must be graded: a column's
-    dimension is 0 if it is empty and otherwise one more than that of
-    its lowest entry, and all its entries share one dimension.  Columns
-    are reduced by decreasing dimension, each against the pivot table
-    of its own dimension; a column that is the lowest entry of a
-    reduced column one dimension up is skipped, since it reduces to
-    zero (clearing; Chen and Kerber 2011, Bauer, Kerber and Reininghaus
-    2014).  The pairing is the one of the left-to-right reduction.
-    Returns (pairs, essential) where pairs is a list of (birth_index,
-    death_index) ordered by death index and essential lists the
-    unpaired positive column indices in ascending order.
+    columns[d][j] is the boundary of the j-th cell of dimension d as a
+    bit column over the cells of dimension d - 1 (bit i: the i-th of
+    them), and entries[d][j] the value at which that cell enters; each
+    dimension lists its cells in entry order, and a cell enters after
+    the cells of lower dimension that enter at the same value.  So a
+    column is only as wide as the dimension below it.  rows and cols
+    both count the cells of every dimension.
     """
-    if ordered_boundary.rows != ordered_boundary.cols:
-        raise ValueError("filtered boundary matrix must be square")
-    columns = ordered_boundary.columns
-    dims: list[int] = []
-    by_dim: list[list[int]] = []  # column indices of each dimension, ascending
-    for j, b in enumerate(columns):
-        low = b.bit_length() - 1
-        if low >= j:
-            raise ValueError(f"column {j} violates the filtration order (entry at row {low})")
-        d = dims[low] + 1 if b else 0
-        dims.append(d)
-        if d == len(by_dim):
-            by_dim.append([])
-        by_dim[d].append(j)
-    pairs: list[tuple[int, int]] = []
-    essential: list[int] = []
+
+    __slots__ = ("columns", "entries", "rows", "cols")
+
+    def __init__(self, columns: list[list[int]], entries: list[list]) -> None:
+        if list(map(len, columns)) != list(map(len, entries)):
+            raise ValueError("columns and entries differ in shape")
+        self.columns = columns
+        self.entries = entries
+        self.rows = self.cols = sum(map(len, columns))
+
+
+def column_reduce(boundary: GradedBoundary):
+    """Persistence pairing of a graded filtered boundary matrix, with clearing.
+
+    The dimensions are reduced from the top down, each column against
+    the pivot table of its own dimension; a column that is the lowest
+    entry of a reduced column one dimension up is skipped, since it
+    reduces to zero (clearing; Chen and Kerber 2011, Bauer, Kerber and
+    Reininghaus 2014).  The pairing is the one of the left-to-right
+    reduction of the whole order.  A column that enters before the one
+    listed before it, has a row past the cells of the dimension below, or
+    whose latest face (its lowest entry) enters after it raises a
+    ValueError that names it.  Returns (pairs,
+    essential): pairs lists (d, i, j) where the j-th d-column kills the
+    class born at the i-th (d - 1)-cell, and essential lists (d, j) for
+    each unpaired positive column; both run by decreasing dimension and
+    by increasing column within a dimension.
+    """
+    columns, entries = boundary.columns, boundary.entries
+    pairs: list[tuple[int, int, int]] = []
+    essential: list[tuple[int, int]] = []
     above: dict = {}  # pivot table one dimension up: its keys are the cleared columns
-    for d in range(len(by_dim) - 1, 0, -1):
-        digits = bytearray(b"0") * len(columns)  # the rows of dimension d - 1, as binary digits
-        for i in by_dim[d - 1]:
-            digits[i] = 49  # "1"
-        mask = int(digits[::-1], 2)
+    for d in range(len(columns) - 1, -1, -1):
+        below, here = entries[d - 1] if d else (), entries[d]
+        rows = len(below)
+        if any(map(gt, here, here[1:])):
+            j = next(j for j in range(1, len(here)) if here[j - 1] > here[j])
+            raise ValueError(f"column {j} of dimension {d} enters at {here[j]!r}, "
+                             f"before column {j - 1}, which enters at {here[j - 1]!r}")
         pivots: dict[int, tuple[int, int]] = {}
-        for j in by_dim[d]:
-            b = columns[j]
-            if b & mask != b:
-                row = (b & ~mask).bit_length() - 1
-                raise ValueError(f"column {j} is not graded: entry at row {row} has dimension "
-                                 f"{dims[row]}, its lowest entry has dimension {d - 1}")
+        for j, b in enumerate(columns[d]):
+            if b:
+                low = b.bit_length() - 1
+                if low >= rows:
+                    raise ValueError(f"column {j} of dimension {d} has an entry at row {low}, "
+                                     f"past the {rows} cells of dimension {d - 1}")
+                if below[low] > here[j]:
+                    raise ValueError(f"column {j} of dimension {d} enters at {here[j]!r}, "
+                                     f"before its face at row {low}, which enters at {below[low]!r}")
             if j in above:
                 continue
             b, _ = _reduce(b, pivots)
             if b:
                 low = b.bit_length() - 1
                 pivots[low] = (b, 0)
-                pairs.append((low, j))
+                pairs.append((d, low, j))
             else:
-                essential.append(j)
+                essential.append((d, j))
         above = pivots
-    if by_dim:
-        essential += [j for j in by_dim[0] if j not in above]
-    pairs.sort(key=lambda p: p[1])
-    essential.sort()
     return pairs, essential

@@ -3,13 +3,14 @@
 The level barcode of a PL vertex map is its extended persistence
 (Cohen-Steiner, Edelsbrunner and Harer 2009; Carlsson, de Silva and
 Morozov 2009): level_barcode reads all four bar kinds off one column
-reduction of the cone over the complex, whose columns are the lower-star
-filtration of f followed by the cone over the upper-star filtration.
-The upper-star order of f is the lower-star order of -f, so both halves
-are boundary_columns of lower-star orders, of f and of -f.  A
-filtration needs no cone: every interlevel set of its telescope retracts
-onto its top level, so level_barcode reads its level bars off its own
-sub-level bars.  The bar routes take only their input: level_barcode(f)
+reduction of the cone over the complex, one dimension at a time: the
+cells of each dimension are the simplices of the lower-star filtration
+of f followed by the cones over the upper-star filtration.  The
+upper-star order of f is the lower-star order of -f, so both halves are
+boundary_columns of lower-star orders, of f and of -f.  A filtration
+needs no cone: every interlevel set of its telescope retracts onto its
+top level, so level_barcode reads its level bars off its own sub-level
+bars.  The bar routes take only their input: level_barcode(f)
 returns every degree over the grid critical_values(f), and
 sublevel_from_level(bc) maps every bar of bc over bc.grid; a caller that
 wants fewer degrees cuts the bars.
@@ -65,7 +66,7 @@ from itertools import accumulate
 from operator import sub
 
 from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values, telescope
-from .gf2 import BitMatrix, Subspace, _eliminate, column_reduce, intersection_dim
+from .gf2 import BitMatrix, GradedBoundary, Subspace, _eliminate, column_reduce, intersection_dim
 # image_basis, induced_map, kernel_basis and include_level are not called
 # here; they stay bound in this module because bench/tracing.py wraps
 # them here by name
@@ -184,13 +185,16 @@ def level_barcode(f: VertexValuedMap | Filtration) -> LevelBarcode:
     from one extended-persistence reduction of the cone; for a
     filtration, read off its sub-level bars.
 
-    Columns are the cone point w, then the simplices of K in lower-star
-    order, then the cones w*s in descending upper-star order, sorted by
-    (-min value, dimension, lexicographic): that is the lower-star order
-    of -f, so both halves come from boundary_columns, of f and of -f.
-    The boundary of w*s is s + w*(boundary of s), where w*(boundary of
-    s) is the boundary column of s under -f shifted below K, and that of
-    w*v is v + w.  A pair born at value a and killed at value b reads as:
+    The cone is graded like every filtered boundary here (see
+    GradedBoundary): the cells of dimension e are the cone point w (for
+    e = 0), then the e-simplices of K in lower-star order, then the
+    cones w*s over the (e - 1)-simplices in descending upper-star order,
+    by (-min value, lexicographic): that is the lower-star order of -f,
+    so both halves come from boundary_columns, of f and of -f.  The
+    boundary of w*s is s + w*(boundary of s), where w*(boundary of s) is
+    the boundary column of s under -f shifted below the (e - 1)-simplices
+    of K, and that of w*v is v + w.  A pair born at value a and killed at
+    value b reads as:
 
     * both in K (ordinary): [a, b) in the birth degree r, if a != b;
     * born in K, killed in the cone (extended): [a, b] in degree r if
@@ -213,36 +217,46 @@ def level_barcode(f: VertexValuedMap | Filtration) -> LevelBarcode:
         last = f.times[-1]
         return LevelBarcode(sb.grid, {LevelBar(r, b, last if d == INF else d, True, d == INF): m
                                       for (r, b, d), m in sb.bars.items()})
+    grid = critical_values(f)  # refuses the empty complex, which has no cone point to add
     lower = filtration_order(f)
     upper = filtration_order(VertexValuedMap(f.complex, {v: -x for v, x in f.values.items()}))
-    index, boundary = boundary_columns(lower)
+    index, columns = boundary_columns(lower)
     _, cones = boundary_columns(upper)
-    n = len(lower)
-    # in place, so that each column is freed as its shifted copy is made
-    for i, bits in enumerate(boundary):
-        boundary[i] = bits << 1  # row 0 is the cone point
-    for i, (s, _) in enumerate(upper):  # w*s: w*(facets of s) n + 1 rows down, s below w, and w for a vertex
-        cones[i] = cones[i] << n + 1 | 2 << index[s] | (len(s) == 1)
-    pairs, _ = column_reduce(BitMatrix.from_bits([0, *boundary, *cones], 2 * n + 1))
+    # entries: (-1, 0.0) for w, (0, f) in K, (1, -f) in the cone, so each dimension is in entry order
+    entries = [[(0, x) for _, x in rows] for rows in lower] + [[]]
+    entries[0].insert(0, (-1, 0.0))
+    columns[0].insert(0, 0)
+    columns.append([])
+    columns[1] = [bits << 1 for bits in columns[1]]  # the rows of dimension 0 start with w
+    for e in range(1, len(columns)):
+        w = e == 1
+        below = w + len(lower[e - 1])  # the first cone row of dimension e - 1
+        cone = cones[e - 1]  # in place, so that each column is freed as its shifted copy is made
+        for k, (s, _) in enumerate(upper[e - 1]):  # w*s: w*(facets of s), s, and w for a vertex
+            cone[k] = cone[k] << below | 1 << w + index[s] | w
+        columns[e] += cone
+        entries[e] += [(1, y) for _, y in upper[e - 1]]
+    pairs, _ = column_reduce(GradedBoundary(columns, entries))
 
-    # column -> (simplex, value); a cone column's value is min f, read back as 0.0 - x so 0.0 stays 0.0
-    entries = [((), 0.0)] + lower + [(s, 0.0 - x) for s, x in upper]
+    # a cone value is min f, read back as 0.0 - y so 0.0 stays 0.0
     counts: dict[LevelBar, int] = {}
-    for i, j in pairs:
-        if i == 0:
+    for d, i, j in pairs:
+        (p, a), (q, b) = entries[d - 1][i], entries[d][j]
+        if p < 0:  # w
             continue
-        (si, a), (_, b) = entries[i], entries[j]
-        r = len(si) - 1
-        if j <= n:
-            bar = LevelBar(r, a, b, True, False) if a != b else None
-        elif i <= n:
-            bar = LevelBar(r, a, b, True, True) if a <= b else LevelBar(r - 1, b, a, False, False)
+        if q == 0:
+            bar = LevelBar(d - 1, a, b, True, False) if a != b else None
+        elif p == 0:
+            b = 0.0 - b
+            bar = LevelBar(d - 1, a, b, True, True) if a <= b else LevelBar(d - 2, b, a, False, False)
         else:
-            bar = LevelBar(r, b, a, False, True) if a != b else None
+            a, b = 0.0 - a, 0.0 - b
+            bar = LevelBar(d - 2, b, a, False, True) if a != b else None
         if bar is not None:
             counts[bar] = counts.get(bar, 0) + 1
+    n = len(f.complex)
     _log.debug("cone reduction: %d simplices, %d cone columns, %d pairs", n, 2 * n + 1, len(pairs))
-    return LevelBarcode(critical_values(f), counts)
+    return LevelBarcode(grid, counts)
 
 
 # the five families, by accessor name

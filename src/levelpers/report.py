@@ -22,7 +22,8 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-from .complexes import CriticalGrid, Filtration, VertexValuedMap, build_complex, critical_values, telescope
+from .complexes import (CriticalGrid, Filtration, SimplicialComplex, VertexValuedMap, build_complex,
+                        critical_values, telescope)
 from .gf2 import induced_map, rank
 from .level import (
     LevelBarcode,
@@ -87,32 +88,45 @@ def _parse_value(raw, where: str) -> float:
     return value
 
 
-def _parse_simplex_list(raw, known_ids, where: str) -> list[tuple[int, ...]]:
-    """The simplices of raw as sorted tuples of vertex ids.
+def _name_fault(raw, known_ids, where: str) -> None:
+    """Raise an InputError for the first faulty simplex of raw, in
+    document order, walking it vertex by vertex."""
+    for k, simplex in enumerate(raw):
+        if not (isinstance(simplex, list) and simplex):
+            raise InputError(f"{where}[{k}]: expected a non-empty list of vertex ids")
+        seen = set()
+        for v in simplex:
+            if not (isinstance(v, int) and not isinstance(v, bool)):
+                raise InputError(f"{where}[{k}]: vertex ids must be integers")
+            if known_ids is not None and v not in known_ids:
+                raise InputError(f"{where}[{k}]: unknown vertex id {v}")
+            if v in seen:
+                raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
+            seen.add(v)
 
-    Each must be a non-empty list of distinct integer ids, all in
-    known_ids unless that is None.  The checks run over the whole list
-    at once; only a list that fails one is walked vertex by vertex, to
-    name the first fault in document order.
+
+def _parse_complex(raw, known_ids, where: str) -> SimplicialComplex:
+    """The closure of the simplices of raw; with known_ids, the ids of a
+    map's vertices, each of them is a vertex even if no simplex holds it.
+
+    Each simplex must be a non-empty list of distinct integer ids, all
+    in known_ids unless that is None.  The checks run over the whole
+    list at once, and the closure itself finds a repeated id
+    (build_complex, which sorts each simplex once); only a list that
+    fails one is walked vertex by vertex, to name the first fault in
+    document order.
     """
     _require(isinstance(raw, list), f"{where}: expected a list of simplices")
     if not (all(simplex.__class__ is list and simplex for simplex in raw)
             and set(map(type, chain.from_iterable(raw))) <= {int}
-            and (known_ids is None or known_ids.issuperset(chain.from_iterable(raw)))
-            and all(len(set(simplex)) == len(simplex) for simplex in raw)):
-        for k, simplex in enumerate(raw):  # name the first fault, in document order
-            if not (isinstance(simplex, list) and simplex):
-                raise InputError(f"{where}[{k}]: expected a non-empty list of vertex ids")
-            seen = set()
-            for v in simplex:
-                if not (isinstance(v, int) and not isinstance(v, bool)):
-                    raise InputError(f"{where}[{k}]: vertex ids must be integers")
-                if known_ids is not None and v not in known_ids:
-                    raise InputError(f"{where}[{k}]: unknown vertex id {v}")
-                if v in seen:
-                    raise InputError(f"{where}[{k}]: duplicate vertex id {v}")
-                seen.add(v)
-    return [tuple(sorted(simplex)) for simplex in raw]
+            and (known_ids is None or known_ids.issuperset(chain.from_iterable(raw)))):
+        _name_fault(raw, known_ids, where)
+    isolated = () if known_ids is None else zip(known_ids.difference(chain.from_iterable(raw)))  # as (v,)
+    try:
+        return build_complex(chain(raw, isolated))
+    except ValueError:  # a simplex repeats a vertex
+        _name_fault(raw, known_ids, where)
+        raise
 
 
 def parse_input(text: str):
@@ -136,8 +150,7 @@ def parse_input(text: str):
         _require(len(times) == len(stages_raw),
                  f"filtration: {len(stages_raw)} stages but {len(times)} times")
         times = [_parse_value(t, f"filtration.times[{i}]") for i, t in enumerate(times)]
-        stages = [build_complex(_parse_simplex_list(stage, None, f"filtration.stages[{i}]"))
-                  for i, stage in enumerate(stages_raw)]
+        stages = [_parse_complex(stage, None, f"filtration.stages[{i}]") for i, stage in enumerate(stages_raw)]
         try:
             return Filtration(stages, times)
         except ValueError as exc:
@@ -146,9 +159,7 @@ def parse_input(text: str):
     _require("vertices" in data, "expected 'vertices' or 'filtration'")
     _require("maximal_simplices" in data, "missing 'maximal_simplices'")
     values = _parse_vertices(data["vertices"])
-    simplices = _parse_simplex_list(data["maximal_simplices"], set(values), "maximal_simplices")
-    simplices += zip(values.keys() - chain.from_iterable(simplices))  # the vertices in no simplex, as (v,)
-    return VertexValuedMap(build_complex(simplices), values)
+    return VertexValuedMap(_parse_complex(data["maximal_simplices"], set(values), "maximal_simplices"), values)
 
 
 def _parse_vertices(raw) -> dict[int, float]:

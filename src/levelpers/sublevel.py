@@ -1,20 +1,23 @@
 """Sub-level persistence of a PL vertex map or of a filtration.
 
 Bars come from the column reduction, with clearing, of the boundary
-matrix of a filtration order: the lower-star order of a map, or a
-filtration's own simplices by (entry stage, dimension, lexicographic)
-(filtration_order); the bars of a filtration are those of its
-telescope, which it never builds.  Betti numbers of the persistence
-module are counted from bars by interval containment, and bar
-multiplicities are recovered from the Betti numbers by one
-inclusion-exclusion over consecutive critical values.
+matrix of a filtration order, given one dimension at a time
+(filtration_order): the lower-star order of a map, each dimension by
+(max vertex value, lexicographic), or a filtration's own simplices,
+each dimension by (entry stage, lexicographic); the bars of a
+filtration are those of its telescope, which it never builds.  Betti
+numbers of the persistence module are counted from bars by interval
+containment, and bar multiplicities are recovered from the Betti
+numbers by one inclusion-exclusion over consecutive critical values.
 sublevel_barcode(f) takes only its input and returns every degree over
 the grid critical_values(f).  boundary_columns builds the boundary
-matrix of any filtration order, for this reduction and both halves of
-the cone: level_barcode shifts the columns of f one row down, below the
-cone point, and those of -f below K, as the cones over the upper-star
-filtration.  analyze reads the sub-level bars off the level bars instead
-(sublevel_from_level), and check compares them with sublevel_barcode.
+columns of any such order, each d-column over the (d - 1)-simplices,
+for this reduction and both halves of the cone: level_barcode shifts
+the columns of f below the cone point in dimension 1, and those of -f
+below the simplices of K one dimension down, as the cones over the
+upper-star filtration.  analyze reads the sub-level bars off the level
+bars instead (sublevel_from_level), and check compares them with
+sublevel_barcode.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .complexes import (
     entry_filtration,
     lower_star_filtration,
 )
-from .gf2 import BitMatrix, column_reduce
+from .gf2 import GradedBoundary, column_reduce
 
 INF = math.inf
 
@@ -80,29 +83,30 @@ class SublevelBarcode:
         return f"SublevelBarcode({', '.join(parts)})"
 
 
-def filtration_order(f: VertexValuedMap | Filtration) -> list[tuple[Simplex, float]]:
-    """The (simplex, value) pairs of f in a filtration order: the
-    lower-star order of a map, or entry_filtration of a filtration."""
+def filtration_order(f: VertexValuedMap | Filtration) -> list[list[tuple[Simplex, float]]]:
+    """The (simplex, value) pairs of f in a filtration order, one list
+    per dimension: the lower-star order of a map, or entry_filtration of
+    a filtration."""
     return entry_filtration(f) if isinstance(f, Filtration) else lower_star_filtration(f)
 
 
-def boundary_columns(order: list[tuple[Simplex, float]]) -> tuple[dict[Simplex, int], list[int]]:
-    """(index, columns) of a filtration order of (simplex, value) pairs:
-    each simplex's position, and its boundary as a bit column."""
-    index = {s: i for i, (s, _) in enumerate(order)}
+def boundary_columns(order: list[list[tuple[Simplex, float]]]) -> tuple[dict[Simplex, int], list[list[int]]]:
+    """(index, columns) of a filtration order given one dimension at a
+    time: each simplex's position among the simplices of its dimension,
+    and per dimension d the boundary of each d-simplex as a bit column
+    over the (d - 1)-simplices."""
+    index = {s: i for rows in order for i, (s, _) in enumerate(rows)}
     columns = []
-    for s, _ in order:  # edges and triangles, the bulk of a surface, without a loop over faces
-        if len(s) == 2:
-            columns.append(1 << index[s[:1]] | 1 << index[s[1:]])
-        elif len(s) == 3:
-            columns.append(1 << index[s[1:]] | 1 << index[s[::2]] | 1 << index[s[:2]])
-        elif len(s) == 1:
-            columns.append(0)
+    for d, rows in enumerate(order):  # edges and triangles, the bulk of a surface, without a loop over faces
+        if d == 0:
+            columns.append([0] * len(rows))
+        elif d == 1:
+            vertex = {v: i for i, ((v,), _) in enumerate(order[0])}
+            columns.append([1 << vertex[a] | 1 << vertex[b] for (a, b), _ in rows])
+        elif d == 2:
+            columns.append([1 << index[b, c] | 1 << index[a, c] | 1 << index[a, b] for (a, b, c), _ in rows])
         else:
-            bits = 0
-            for i in range(len(s)):
-                bits |= 1 << index[s[:i] + s[i + 1:]]
-            columns.append(bits)
+            columns.append([sum(1 << index[s[:i] + s[i + 1:]] for i in range(d + 1)) for s, _ in rows])
     return index, columns
 
 
@@ -115,18 +119,18 @@ def sublevel_barcode(f: VertexValuedMap | Filtration) -> SublevelBarcode:
     """
     order = filtration_order(f)
     _, columns = boundary_columns(order)
-    pairs, essential = column_reduce(BitMatrix.from_bits(columns, len(order)))
+    pairs, essential = column_reduce(GradedBoundary(columns, [[x for _, x in rows] for rows in order]))
 
     bars: dict[tuple[int, float, float], int] = {}
-    for i, j in pairs:
-        birth = order[i][1]
-        death = order[j][1]
+    for d, i, j in pairs:
+        birth = order[d - 1][i][1]
+        death = order[d][j][1]
         if birth == death:
             continue
-        key = (len(order[i][0]) - 1, birth, death)
+        key = (d - 1, birth, death)
         bars[key] = bars.get(key, 0) + 1
-    for i in essential:
-        key = (len(order[i][0]) - 1, order[i][1], INF)
+    for d, j in essential:
+        key = (d, order[d][j][1], INF)
         bars[key] = bars.get(key, 0) + 1
     return SublevelBarcode(critical_values(f), bars)
 

@@ -151,7 +151,7 @@ def test_routes_run_without_numpy():
     code = """if True:
         import sys
         sys.modules["numpy"] = None
-        from levelpers import (BitMatrix, build_complex, column_reduce, compute_relevant_numbers,
+        from levelpers import (BitMatrix, GradedBoundary, build_complex, column_reduce, compute_relevant_numbers,
                                homology_presentation, induced_map, VertexValuedMap)
         from levelpers.report import analyze, run_checks
         f = VertexValuedMap(build_complex([[0, 1], [0, 3], [1, 2], [2, 3]]), {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0})
@@ -160,7 +160,7 @@ def test_routes_run_without_numpy():
         assert compute_relevant_numbers(f).level_rank(0, 0.5) == 2
         loop = homology_presentation(BitMatrix.zeros(4, 0), BitMatrix.from_bits([0b0011, 0b0110, 0b1100, 0b1001], 4))
         assert loop.betti == 1 and induced_map(loop, loop, BitMatrix.identity(4)) == BitMatrix.identity(1)
-        assert column_reduce(BitMatrix.from_bits([0, 0, 0b011], 3)) == ([(1, 2)], [0])
+        assert column_reduce(GradedBoundary([[0, 0], [0b11]], [[0.0, 0.0], [0.0]])) == ([(1, 1, 0)], [(0, 0)])
     """
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

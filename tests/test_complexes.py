@@ -19,6 +19,7 @@ from levelpers import (
 )
 from levelpers.report import parse_input
 from levelpers.sublevel import INF
+from global_reduction import global_lower_star_order
 from conftest import make_octahedron, random_vertex_map, simplicial_betti
 
 
@@ -115,6 +116,14 @@ def test_critical_values_empty_complex():
         critical_values(VertexValuedMap(empty, {}))
 
 
+def test_both_bar_routes_refuse_the_empty_complex():
+    from levelpers import level_barcode
+    empty = VertexValuedMap(build_complex([]), {})
+    for route in (level_barcode, sublevel_barcode):
+        with pytest.raises(ValueError, match="empty complex has no critical values"):
+            route(empty)
+
+
 def test_critical_grid_sorts_and_merges_its_values():
     assert CriticalGrid((2.0, 1.0, 2.0)).criticals == (1.0, 2.0)
     assert CriticalGrid((3, 1)) == CriticalGrid((1.0, 3.0))
@@ -122,37 +131,44 @@ def test_critical_grid_sorts_and_merges_its_values():
         CriticalGrid(())
 
 
+def simplices(order):
+    return [[s for s, _ in rows] for rows in order]
+
+
 def test_lower_star_edge():
     f = VertexValuedMap(build_complex([[0, 1]]), {0: 0.0, 1: 1.0})
-    order = [s for s, _ in lower_star_filtration(f)]
-    assert order == [(0,), (1,), (0, 1)]
+    assert lower_star_filtration(f) == [[((0,), 0.0), ((1,), 1.0)], [((0, 1), 1.0)]]
 
 
 def test_lower_star_constant_triangle_dim_tiebreak():
+    # one list per dimension; merged, the faces enter first at a tied value
     f = VertexValuedMap(build_complex([[0, 1, 2]]), {0: 0.0, 1: 0.0, 2: 0.0})
-    dims = [len(s) for s, _ in lower_star_filtration(f)]
-    assert dims == sorted(dims)
+    order = lower_star_filtration(f)
+    assert simplices(order) == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+    assert [p for rows in order for p in rows] == global_lower_star_order(f)
 
 
 def test_lower_star_square_circle_order():
     # a=0(0), b=1(1), d=3(1), c=2(2)
     cx = build_complex([[0, 1], [0, 3], [1, 2], [2, 3]])
     f = VertexValuedMap(cx, {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0})
-    order = [s for s, _ in lower_star_filtration(f)]
-    assert order == [(0,), (1,), (3,), (0, 1), (0, 3), (2,), (1, 2), (2, 3)]
+    assert simplices(lower_star_filtration(f)) == [[(0,), (1,), (3,), (2,)], [(0, 1), (0, 3), (1, 2), (2, 3)]]
 
 
 def test_lower_star_faces_precede_cofaces():
+    # each dimension is the global (value, dimension, lexicographic) order
+    # restricted to it, and no face has a larger value than its coface
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = random_vertex_map(rng)
-        order = [s for s, _ in lower_star_filtration(f)]
-        position = {s: i for i, s in enumerate(order)}
-        for s in order:
-            for i in range(len(s)):
-                facet = s[:i] + s[i + 1:]
-                if facet:
-                    assert position[facet] < position[s]
+        order = lower_star_filtration(f)
+        glob = global_lower_star_order(f)
+        assert order == [[p for p in glob if len(p[0]) == d + 1] for d in range(f.complex.dim + 1)]
+        value = {s: x for rows in order for s, x in rows}
+        for rows in order:
+            for s, x in rows:
+                assert x == max(f.values[v] for v in s)
+                assert all(value[s[:i] + s[i + 1:]] <= x for i in range(len(s) if len(s) > 1 else 0))
 
 
 def test_filtration_rejects_non_nested():

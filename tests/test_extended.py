@@ -10,8 +10,8 @@ import pytest
 
 import levelpers.report as report
 from levelpers import (
-    BitMatrix,
     CellComplex,
+    GradedBoundary,
     LevelBar,
     LevelBarcode,
     SlabBuilder,
@@ -34,6 +34,7 @@ from levelpers import (
 )
 from levelpers.level import first_difference
 from levelpers.sublevel import INF, boundary_columns, filtration_order
+from global_reduction import graded_reference, left_to_right_reduce
 from conftest import (FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_filtration,
                       random_vertex_map, seeded_telescopes)
 
@@ -379,60 +380,45 @@ def test_bit_column_core_matches_dense_wrapper():
     rng = np.random.default_rng(8)
     for _ in range(20):
         order = lower_star_filtration(random_vertex_map(rng))
-        index = {s: i for i, (s, _) in enumerate(order)}
-        columns = []
-        dense = np.zeros((len(order), len(order)), dtype=np.uint8)
-        for j, (s, _) in enumerate(order):
-            bits = 0
-            for i in range(len(s) if len(s) > 1 else 0):
-                bits |= 1 << index[s[:i] + s[i + 1:]]
-                dense[index[s[:i] + s[i + 1:]], j] = 1
-            columns.append(bits)
-        bit_columns = BitMatrix.from_bits(columns, len(order))
-        assert column_reduce(bit_columns) == column_reduce(from_dense(dense))
+        index, columns = boundary_columns(order)
+        dense = []
+        for d, rows in enumerate(order):
+            m = np.zeros((len(order[d - 1]) if d else 0, len(rows)), dtype=np.uint8)
+            for j, (s, _) in enumerate(rows):
+                for i in range(len(s) if d else 0):
+                    m[index[s[:i] + s[i + 1:]], j] = 1
+            dense.append(list(from_dense(m).columns))
+        entries = [[x for _, x in rows] for rows in order]
+        assert column_reduce(GradedBoundary(columns, entries)) == column_reduce(GradedBoundary(dense, entries))
 
 
 def test_bit_column_core_rejects_bad_order():
-    with pytest.raises(ValueError, match="column 1 violates the filtration order"):
-        column_reduce(BitMatrix.from_bits([0, 0b10], 2))
+    with pytest.raises(ValueError, match="column 0 of dimension 1 enters at 1.0, before its face at row 1"):
+        column_reduce(GradedBoundary([[0, 0], [0b11]], [[0.0, 2.0], [1.0]]))
 
 
-def left_to_right_reduce(matrix):
-    """The plain reduction without clearing: every column in order,
-    against every reduced column before it."""
-    owner: dict[int, int] = {}
-    pairs, positive = [], []
-    for j, column in enumerate(matrix.columns):
-        while column and column.bit_length() - 1 in owner:
-            column ^= owner[column.bit_length() - 1]
-        if column:
-            owner[column.bit_length() - 1] = column
-            pairs.append((column.bit_length() - 1, j))
-        else:
-            positive.append(j)
-    births = {i for i, _ in pairs}
-    return pairs, [j for j in positive if j not in births]
-
-
-def lower_star_matrix(f):
+def lower_star_boundary(f):
     order = filtration_order(f)
-    return BitMatrix.from_bits(boundary_columns(order)[1], len(order))
+    return GradedBoundary(boundary_columns(order)[1], [[x for _, x in rows] for rows in order])
 
 
 def test_clearing_matches_left_to_right_on_lower_star_boundaries():
+    # the graded reduction against the global one on the merged order,
+    # with clearing and without
     rng = np.random.default_rng(2011)
     maps = [maker() for maker in FIXTURE_MAKERS.values()] + [random_vertex_map(rng) for _ in range(260)]
     for f in maps + seeded_telescopes(40, 2014):
-        matrix = lower_star_matrix(f)
-        assert column_reduce(matrix) == left_to_right_reduce(matrix)
+        boundary = lower_star_boundary(f)
+        reduced = column_reduce(boundary)
+        assert reduced == graded_reference(boundary) == graded_reference(boundary, left_to_right_reduce)
 
 
 def test_clearing_matches_left_to_right_on_the_cone(monkeypatch):
     cones = []
 
-    def recording(matrix):
-        cones.append(matrix)
-        return column_reduce(matrix)
+    def recording(boundary):
+        cones.append(boundary)
+        return column_reduce(boundary)
 
     monkeypatch.setattr("levelpers.level.column_reduce", recording)
     rng = np.random.default_rng(2012)
@@ -440,16 +426,17 @@ def test_clearing_matches_left_to_right_on_the_cone(monkeypatch):
     for f in maps + seeded_telescopes(20, 2013) + seeded_grids(3, 2015):
         level_barcode(f)
     assert len(cones) == len(FIXTURE_MAKERS) + 83
-    for matrix in cones:
-        assert column_reduce(matrix) == left_to_right_reduce(matrix)
+    for boundary in cones:
+        reduced = column_reduce(boundary)
+        assert reduced == graded_reference(boundary) == graded_reference(boundary, left_to_right_reduce)
 
 
 def test_clearing_refuses_a_matrix_that_is_not_graded():
-    # columns 0, 1 are vertices and 2 an edge; column 3 has its lowest
-    # entry at the edge and another at vertex 0
+    # three vertices and two edges; the triangle's boundary has an entry
+    # at row 2 of dimension 1, which holds two edges
     with pytest.raises(ValueError) as exc:
-        column_reduce(BitMatrix.from_bits([0, 0, 0b011, 0b101], 4))
-    assert str(exc.value) == "column 3 is not graded: entry at row 0 has dimension 0, its lowest entry has dimension 1"
+        column_reduce(GradedBoundary([[0, 0, 0], [0b011, 0b110], [0b101]], [[0.0] * 3, [0.0] * 2, [0.0]]))
+    assert str(exc.value) == "column 0 of dimension 2 has an entry at row 2, past the 2 cells of dimension 1"
 
 
 # --- first difference and cross-validation -----------------------------------

@@ -142,14 +142,20 @@ def test_only_check_telescopes(monkeypatch, tmp_path, capsys):
 
 
 def test_entry_order_is_a_filtration_order():
+    # one list per dimension, by (entry stage, lexicographic): the order by
+    # (entry stage, dimension, lexicographic) restricted to each dimension
     for filt in seeded_filtrations(20, 7) + late_and_single_filtrations():
         order = entry_filtration(filt)
-        assert len(order) == len(filt.complex.simplices)
-        assert {s for s, _ in order} == filt.complex.simplices
-        stage = {s: next(i for i, k in enumerate(filt.stages) if s in k.simplices) for s, _ in order}
-        keys = [(stage[s], len(s), s) for s, _ in order]
-        assert keys == sorted(keys)
-        assert all(t == filt.times[stage[s]] for s, t in order)
+        assert len(order) == filt.complex.dim + 1
+        assert sum(map(len, order)) == len(filt.complex.simplices)
+        assert {s for rows in order for s, _ in rows} == filt.complex.simplices
+        stage = {s: next(i for i, k in enumerate(filt.stages) if s in k.simplices) for rows in order for s, _ in rows}
+        for d, rows in enumerate(order):
+            assert all(len(s) == d + 1 for s, _ in rows)
+            keys = [(stage[s], s) for s, _ in rows]
+            assert keys == sorted(keys)
+            assert all(t == filt.times[stage[s]] for s, t in rows)
+            assert all(stage[s[:i] + s[i + 1:]] <= stage[s] for s, _ in rows for i in range(len(s)) if d)
 
 
 def misread(real):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from levelpers import (
     BitMatrix,
+    GradedBoundary,
     Subspace,
     column_reduce,
     homology_presentation,
@@ -19,6 +20,7 @@ from levelpers import (
     kernel_basis,
     rank,
 )
+from levelpers.sublevel import boundary_columns
 from conftest import dense, from_dense, random_vertex_map, simplicial_boundary_matrix
 
 
@@ -290,38 +292,30 @@ def test_induced_respects_composition_on_random_inclusions():
 
 def test_column_reduce_single_merge():
     # filtration: v1, v2, edge(v1,v2)
-    m = np.zeros((3, 3), dtype=np.uint8)
-    m[0, 2] = 1
-    m[1, 2] = 1
-    pairs, essential = column_reduce(from_dense(m))
-    assert pairs == [(1, 2)]
-    assert essential == [0]
+    pairs, essential = column_reduce(GradedBoundary([[0, 0], [0b11]], [[0.0, 0.0], [0.0]]))
+    assert pairs == [(1, 1, 0)]
+    assert essential == [(0, 0)]
 
 
 def test_column_reduce_square_circle():
-    # order a, b, d, ab, ad, c, bc, dc over the square circle values
-    order = ["a", "b", "d", "ab", "ad", "c", "bc", "dc"]
-    faces = {"ab": ("a", "b"), "ad": ("a", "d"), "bc": ("b", "c"), "dc": ("d", "c")}
-    index = {name: i for i, name in enumerate(order)}
-    m = np.zeros((8, 8), dtype=np.uint8)
-    for name, (u, v) in faces.items():
-        m[index[u], index[name]] = 1
-        m[index[v], index[name]] = 1
-    pairs, essential = column_reduce(from_dense(m))
-    assert essential == [index["a"], index["dc"]]  # one vertex (H0), one edge (H1)
+    # vertices a, b, d, c and edges ab, ad, bc, dc over the square circle values
+    vertices, edges = ["a", "b", "d", "c"], ["ab", "ad", "bc", "dc"]
+    at = {name: i for i, name in enumerate(vertices)}
+    columns = [[0] * 4, [1 << at[e[0]] | 1 << at[e[1]] for e in edges]]
+    pairs, essential = column_reduce(GradedBoundary(columns, [[0.0, 1.0, 1.0, 2.0], [1.0, 1.0, 2.0, 2.0]]))
+    assert essential == [(1, edges.index("dc")), (0, at["a"])]  # one edge (H1), one vertex (H0)
     assert len(pairs) == 3
 
 
 def test_column_reduce_empty():
-    pairs, essential = column_reduce(BitMatrix.zeros(0, 0))
+    pairs, essential = column_reduce(GradedBoundary([], []))
     assert pairs == [] and essential == []
 
 
 def test_column_reduce_rejects_bad_order():
-    m = np.zeros((2, 2), dtype=np.uint8)
-    m[1, 0] = 1  # entry at the diagonal-or-below
+    # the edge enters at 0.5, before its vertex 1 at 1.0
     with pytest.raises(ValueError):
-        column_reduce(from_dense(m))
+        column_reduce(GradedBoundary([[0, 0], [0b11]], [[0.0, 1.0], [0.5]]))
 
 
 def test_column_reduce_indices_appear_once():
@@ -330,15 +324,53 @@ def test_column_reduce_indices_appear_once():
         f = random_vertex_map(rng)
         from levelpers import lower_star_filtration
         order = lower_star_filtration(f)
-        index = {s: i for i, (s, _) in enumerate(order)}
-        m = np.zeros((len(order), len(order)), dtype=np.uint8)
-        for j, (s, _) in enumerate(order):
-            if len(s) > 1:
-                for i in range(len(s)):
+        index = {s: i for rows in order for i, (s, _) in enumerate(rows)}
+        columns = []
+        for d, rows in enumerate(order):
+            m = np.zeros((len(order[d - 1]) if d else 0, len(rows)), dtype=np.uint8)
+            for j, (s, _) in enumerate(rows):
+                for i in range(len(s) if d else 0):
                     m[index[s[:i] + s[i + 1:]], j] = 1
-        pairs, essential = column_reduce(from_dense(m))
-        used = [i for p in pairs for i in p] + list(essential)
+            columns.append(list(from_dense(m).columns))
+        pairs, essential = column_reduce(GradedBoundary(columns, [[x for _, x in rows] for rows in order]))
+        used = [(d - 1, i) for d, i, _ in pairs] + [(d, j) for d, _, j in pairs] + list(essential)
         assert len(used) == len(set(used))
+
+
+def test_column_reduce_refuses_a_face_that_enters_after_its_coface():
+    # the edge (0, 1) is listed at 1.0, but its vertex 1 enters at 2.0
+    order = [[((0,), 0.0), ((1,), 2.0)], [((0, 1), 1.0)]]
+    boundary = GradedBoundary(boundary_columns(order)[1], [[x for _, x in rows] for rows in order])
+    with pytest.raises(ValueError) as exc:
+        column_reduce(boundary)
+    assert str(exc.value) == "column 0 of dimension 1 enters at 1.0, before its face at row 1, which enters at 2.0"
+
+
+def test_column_reduce_refuses_a_dimension_out_of_entry_order():
+    # the second edge is listed after the first but enters before it
+    with pytest.raises(ValueError) as exc:
+        column_reduce(GradedBoundary([[0, 0, 0], [0b011, 0b110]], [[0.0, 0.0, 0.0], [2.0, 1.0]]))
+    assert str(exc.value) == "column 1 of dimension 1 enters at 1.0, before column 0, which enters at 2.0"
+
+
+@pytest.mark.parametrize("columns, message", [
+    # a vertex column with an entry: dimension 0 has no cells below it
+    ([[0, 0b1], []], "column 1 of dimension 0 has an entry at row 0, past the 0 cells of dimension -1"),
+    # a triangle whose boundary reaches row 3 of a dimension with three edges
+    ([[0, 0, 0], [0b011, 0b110, 0b101], [0b1011]],
+     "column 0 of dimension 2 has an entry at row 3, past the 3 cells of dimension 1"),
+])
+def test_column_reduce_refuses_a_row_past_the_dimension_below(columns, message):
+    with pytest.raises(ValueError) as exc:
+        column_reduce(GradedBoundary(columns, [[0.0] * len(c) for c in columns]))
+    assert str(exc.value) == message
+
+
+def test_graded_boundary_counts_every_cell():
+    m = GradedBoundary([[0, 0, 0], [0b011, 0b110]], [[0.0] * 3, [1.0] * 2])
+    assert (m.rows, m.cols) == (5, 5)
+    with pytest.raises(ValueError, match="differ in shape"):
+        GradedBoundary([[0, 0]], [[0.0]])
 
 
 def test_intersection_with_a_zero_side():

@@ -50,8 +50,10 @@ and serves as its oracle in the checks and tests.  It sweeps each row
 of the table once: the band from one level grows a slab and a slice at
 a time, its boundary reduction is extended rather than redone, and
 each pair is read off by reducing the two levels' homology
-representatives against it.  It is the only code here that needs a
-float inside a gap, at which it slices the level.  Both conversions,
+representatives against it; kernel_overlap comes from pairing, per
+level, the flag of its kernels into the bands above it with the flag of
+those below it.  It is the only code here that needs a float inside a
+gap, at which it slices the level.  Both conversions,
 the document rows and entries read the arrays by position.  Only
 kernel_overlap, filled from the bars open at both ends in one sweep per
 grid position, is sparse.
@@ -66,11 +68,11 @@ from itertools import accumulate
 from operator import sub
 
 from .complexes import CriticalGrid, Filtration, VertexValuedMap, critical_values, telescope
-from .gf2 import BitMatrix, GradedBoundary, Subspace, _eliminate, column_reduce, intersection_dim
-# image_basis, induced_map, kernel_basis and include_level are not called
-# here; they stay bound in this module because bench/tracing.py wraps
-# them here by name
-from .gf2 import image_basis, induced_map, kernel_basis  # noqa: F401
+from .gf2 import BitMatrix, GradedBoundary, Subspace, _eliminate, _reduce, column_reduce
+# image_basis, induced_map, intersection_dim, kernel_basis and include_level
+# are not called here; they stay bound in this module because
+# bench/tracing.py wraps them here by name
+from .gf2 import image_basis, induced_map, intersection_dim, kernel_basis  # noqa: F401
 from .slabs import SlabBuilder, homology_of, include_level  # noqa: F401
 from .sublevel import INF, SublevelBarcode, boundary_columns, filtration_order, sublevel_barcode
 
@@ -397,6 +399,10 @@ def compute_relevant_numbers(f: VertexValuedMap | Filtration, max_degree: int | 
     rank(both), in degrees 0..max_degree (default: the complex
     dimension), of which the table keeps those up to the last that holds
     a number.  Degrees where both levels have no homology are skipped.
+    The kernels of one level into the bands above it grow with u, and
+    those into the bands below it grow as d falls: kernel_overlap(i, u,
+    d) is read off the pairing of these two flags (_flag_overlaps), one
+    small elimination per level and degree.
     No other band is built, and nothing is checked here: the builder
     checks each chunk once, when it makes it.  Position i is sliced at
     grid.value(i), so a gap that holds no float is a ValueError naming
@@ -443,7 +449,10 @@ def compute_relevant_numbers(f: VertexValuedMap | Filtration, max_degree: int | 
     up = [[[0] * (n - i) for i in range(n)] for _ in degrees]
     down = [[[0] * (i + 1) for i in range(n)] for _ in degrees]
     both: list[dict] = [{} for _ in degrees]
-    kernels = {}  # (r, i, j): the nonzero kernel from the level at i into the band between i and j
+    # ups[r][i]: (u, basis) of each nonzero kernel of the level at i into the band [i, u] above it;
+    # downs[r][i]: (d, basis) of each into the band [d, i] below it; both by u or d ascending
+    ups = [[[] for _ in range(n)] for _ in degrees]
+    downs = [[[] for _ in range(n)] for _ in degrees]
     # reps[k][r]: the homology representatives of the level at k, numbered as its slice in the chain
     reps = [[[z << starts[k][r] for z in p.homology_reps] for r, p in enumerate(row)]
             for k, row in enumerate(presentations)]
@@ -472,21 +481,63 @@ def compute_relevant_numbers(f: VertexValuedMap | Filtration, max_degree: int | 
                 up[r][i][j - i] = ker_low.dim
                 down[r][j][i] = ker_high.dim
                 if ker_low.dim:
-                    kernels[(r, i, j)] = ker_low
+                    ups[r][i].append((j, ker_low.basis.columns))
                 if ker_high.dim:
-                    kernels[(r, j, i)] = ker_high
+                    downs[r][j].append((i, ker_high.basis.columns))
 
-    for i in range(n):
-        for r in degrees:
-            downs = [(d, kernels[(r, i, d)]) for d in range(i) if (r, i, d) in kernels]
-            for u in range(i + 1, n):
-                if (r, i, u) in kernels:
-                    for d, ker_down in downs:
-                        m = intersection_dim(kernels[(r, i, u)], ker_down)
-                        if m:
-                            both[r].setdefault(i, {})[(u, d)] = m
+    for r in degrees:
+        for i in range(n):
+            if ups[r][i] and downs[r][i]:
+                counts = _flag_overlaps(ups[r][i], downs[r][i][::-1], level[r][i], n)
+                if counts:
+                    both[r][i] = counts
 
     return RelevantNumbers(grid, overlap, up, down, both)
+
+
+def _flag_overlaps(ups: list, downs: list, beta: int, n: int) -> dict[tuple[int, int], int]:
+    """{(u, d): dim(U_u & D_d)}, the nonzero entries, for two flags of
+    subspaces of {0,1}^beta: ups lists (u, basis of U_u) for every u from
+    the first nonzero U_u up to n - 1, each U_u holding the one before,
+    and downs lists (d, basis of D_d) for every d from the first nonzero
+    D_d down to 0, each D_d holding the one before.
+
+    The basis vectors of U, taken in order and kept where independent,
+    then the unit vectors, form a basis adapted to U: vector k enters U at
+    entered[k] (n for never).  D's vectors are written in that basis and
+    reduced left to right, so the nonzero ones have distinct lowest
+    entries; a combination of them lies in U_u exactly when each of them
+    does, that is when its lowest entry enters U by u.  So dim(U_u & D_d)
+    counts the reduced vectors that enter D by d and whose lowest entry
+    enters U by u (the pairing lemma of Edelsbrunner, Letscher and
+    Zomorodian 2002).  Each such pair (u0, d0) adds 1 at every u from u0
+    to n - 1 and every d from d0 down to 0; the rows over d are running
+    sums of the pairs by d0, written for each u from one u0 up to the
+    next.
+    """
+    entered = [u for u, basis in ups for _ in basis] + [n] * beta
+    adapted, _ = _eliminate([c for _, basis in ups for c in basis] + [1 << q for q in range(beta)], track=True)
+    pivots: dict = {}
+    pairs = []  # (u0, d0) per reduced vector of D that lies in U
+    for d, basis in downs:
+        for c in basis:
+            c, _ = _reduce(_reduce(c, adapted)[1], pivots)  # its coordinates, reduced against D's before it
+            if c:
+                low = c.bit_length() - 1
+                pivots[low] = (c, 0)
+                if entered[low] < n:
+                    pairs.append((entered[low], d))
+    pairs.sort()
+    counts: dict[tuple[int, int], int] = {}
+    by_d = [0] * (1 + max((d for _, d in pairs), default=0))
+    for k, (u0, d0) in enumerate(pairs):
+        by_d[d0] += 1
+        stop = pairs[k + 1][0] if k + 1 < len(pairs) else n
+        if stop > u0:  # past[d]: the pairs so far with d0 >= d
+            past = list(accumulate(reversed(by_d)))[::-1]
+            row = [(d, m) for d, m in enumerate(past) if m]
+            counts.update(((u, d), m) for u in range(u0, stop) for d, m in row)
+    return counts
 
 
 def _kernel_in_band(table: dict, reps: list[int]) -> tuple[Subspace, dict]:

@@ -7,8 +7,10 @@ With this model a level set at an endpoint of a band is literally a
 subset of the band's cells, so inclusion chain maps are identities on
 cell ids and need no geometric bookkeeping.
 
-One cell rule covers slices and slabs.  A builder reads the value span
-[min, max] of every simplex once.  In the slice at s a simplex carries
+One cell rule covers slices and slabs.  A builder reads, once, a table
+per simplex of its value span [min, max], its two end faces (its
+vertices at min and at max) and its nonempty facets, all as the
+complex's own simplex tuples.  In the slice at s a simplex carries
 its own cell when it crosses s (min < s < max), of dimension
 dim(simplex) - 1, or is constant at s, of full dimension; in the slab
 [lo, hi] it carries its own cell when it spans the band (min <= lo and
@@ -24,14 +26,16 @@ cells grouped by dimension, each group sorted by carrier.  Only a
 simplex whose value span holds [lo, hi] can carry a cell of its own
 there, so a chunk visits the simplices whose minimum is at most lo, a
 prefix of them sorted by minimum, and of those the ones whose maximum
-is at least hi.  It checks
-each chunk once, when it is made, against its own cells and, for a
-slab, its two end slices: every face is present one dimension down,
-every slice cell sits at the chunk's value, and the boundary squares to
-zero.  A complex is the disjoint union of its chunks, the boundary of a
-cell lies in its own chunk or, for a slab cell, in the two end slices,
-and every complex that holds a slab holds both of them, so these checks
-cover every complex built from the chunks.  A complex is assembled from
+is at least hi; whether each of those carries a cell of its own there
+is read off its span, and the cell of each facet is found once per
+chunk.  It checks each chunk once, when it is made, against its own
+cells and, for a slab, its two end slices: every face is present one
+dimension down, every slice cell sits at the chunk's value, and the
+boundary squares to zero.  A complex is the disjoint union of its
+chunks, the boundary of a cell lies in its own chunk or, for a slab
+cell, in the two end slices, and every complex that holds a slab holds
+both of them, so these checks cover every complex built from the
+chunks.  A complex is assembled from
 checked chunks in (lo, hi) order, slice s0, slab (s0, s1), slice s1,
 ..., which within each dimension is the (lo, hi, carrier) order of its
 cells, so it needs no sort and no check of its own; validate(c) still
@@ -206,10 +210,10 @@ def _merged(values) -> tuple[float, ...]:
 class SlabBuilder:
     """Builds the chunks and the level and interlevel complexes of one map.
 
-    Reads the value span (min, max) of every simplex once, and memoizes
-    the checked chunk of each slice and slab, which is shared verbatim
-    between every chain and complex that uses it, and every complex it
-    builds.  _pairs memoizes compute_relevant_numbers' reading of each
+    Reads the value span (min, max), the two end faces and the nonempty
+    facets of every simplex once, and memoizes the checked chunk of each
+    slice and slab, which is shared verbatim between every chain and
+    complex that uses it, and every complex it builds.  _pairs memoizes compute_relevant_numbers' reading of each
     pair of level values, per degree.
     """
 
@@ -217,9 +221,18 @@ class SlabBuilder:
         self.f = f
         self._values = sorted(set(f.values[v] for v in f.complex.vertices))
         value = f.values.__getitem__
-        self._span = {s: (min(map(value, s)), max(map(value, s))) for s in f.complex.simplices}
+        own = {s: s for s in f.complex.simplices}  # every face as the complex's own tuple
+        # per simplex: (min, max, its vertices at min, its vertices at max), and its nonempty facets
+        self._span: dict[Simplex, tuple[float, float, Simplex, Simplex]] = {}
+        self._facets: dict[Simplex, tuple[Simplex, ...]] = {}
+        for s in own:
+            xs = tuple(map(value, s))
+            mn, mx = min(xs), max(xs)
+            bottom, top = (own[tuple(v for v, x in zip(s, xs) if x == end)] for end in (mn, mx))
+            self._span[s] = (mn, mx, bottom, top)
+            self._facets[s] = tuple(own[t] for t in facets(s) if t)
         # (min, position in complex order, max, simplex), by min: a chunk at lo visits a prefix
-        self._by_min = sorted((mn, p, mx, s) for p, (s, (mn, mx)) in enumerate(self._span.items()))
+        self._by_min = sorted((mn, p, mx, s) for p, (s, (mn, mx, _, _)) in enumerate(self._span.items()))
         self._mins = [mn for mn, _, _, _ in self._by_min]
         self._chunks: dict[tuple[float, float], Chunk] = {}
         self._complexes: dict[tuple[float, ...], CellComplex] = {}
@@ -228,17 +241,17 @@ class SlabBuilder:
     def _cell(self, simplex: Simplex, lo: float, hi: float) -> tuple[Cell, int] | None:
         """The cell a simplex meets in the slice lo == hi or the slab lo < hi,
         with its dimension, or None where it meets neither."""
-        mn, mx = self._span[simplex]
+        mn, mx, bottom, top = self._span[simplex]
         if mn <= lo and hi <= mx:
             if lo < hi or mn == mx:  # spans the slab, or is constant at the slice value
                 return Cell(simplex, lo, hi), len(simplex) - 1
             if mn < lo < mx:  # crosses the slice
                 return Cell(simplex, lo, hi), len(simplex) - 2
-        s = lo if mx == lo else hi if mn == hi else None
-        if s is None:
-            return None
-        face = tuple(v for v in simplex if self.f.values[v] == s)
-        return Cell(face, s, s), len(face) - 1
+        if mx == lo:
+            return Cell(top, lo, lo), len(top) - 1
+        if mn == hi:
+            return Cell(bottom, hi, hi), len(bottom) - 1
+        return None
 
     def _chunk(self, lo: float, hi: float) -> Chunk:
         """The cells of one slice or slab, made and checked on first use."""
@@ -246,17 +259,24 @@ class SlabBuilder:
         if key not in self._chunks:
             dims: dict[Cell, int] = {}
             # only a simplex whose span holds [lo, hi] carries a cell of its own here; visited in complex order
-            meeting = sorted((p, s) for _, p, mx, s in self._by_min[:bisect.bisect_right(self._mins, lo)] if mx >= hi)
-            for _, simplex in meeting:
-                met = self._cell(simplex, lo, hi)
-                if met is not None and met[0] == (simplex, lo, hi):  # its own cell, not a face's
-                    dims[met[0]] = met[1]
+            meeting = sorted((p, mn, mx, s) for mn, p, mx, s in self._by_min[:bisect.bisect_right(self._mins, lo)]
+                             if mx >= hi)
+            for _, mn, mx, simplex in meeting:  # mn <= lo and hi <= mx
+                if lo < hi or mn == mx:  # spans the slab, or is constant at the slice value
+                    dims[Cell(simplex, lo, hi)] = len(simplex) - 1
+                elif mn < lo < mx:  # crosses the slice
+                    dims[Cell(simplex, lo, hi)] = len(simplex) - 2
             by_dim: dict[int, list[Cell]] = {}
             boundary = {}
+            met: dict[Simplex, tuple[Cell, int] | None] = {}  # each facet's cell here, made once
             for cell in sorted(dims):  # by carrier: lo and hi are the chunk's own
                 d = dims[cell]
                 by_dim.setdefault(d, []).append(cell)
-                faces = {self._cell(t, lo, hi) for t in facets(cell.carrier) if t}
+                faces = set()
+                for t in self._facets[cell.carrier]:
+                    if t not in met:
+                        met[t] = self._cell(t, lo, hi)
+                    faces.add(met[t])
                 if lo < hi:
                     faces |= {self._cell(cell.carrier, lo, lo), self._cell(cell.carrier, hi, hi)}
                 faces.discard(None)

@@ -97,6 +97,16 @@ def fixture_maps():
     return {name: maker() for name, maker in FIXTURE_MAKERS.items()}
 
 
+def grid_triangles(k):
+    """Triangles of a k x k vertex grid, each square cut along a diagonal."""
+    tris = []
+    for r in range(k - 1):
+        for c in range(k - 1):
+            a, b, d, e = r * k + c, r * k + c + 1, (r + 1) * k + c, (r + 1) * k + c + 1
+            tris += [[a, b, e], [a, d, e]]
+    return tris
+
+
 def random_vertex_map(rng: np.random.Generator) -> VertexValuedMap:
     """A small random complex (<= 12 vertices, maximal dim <= 3) with
     either distinct or deliberately repeated vertex values."""

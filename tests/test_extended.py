@@ -35,22 +35,12 @@ from levelpers import (
 from levelpers.level import first_difference
 from levelpers.sublevel import INF, boundary_columns, filtration_order
 from global_reduction import graded_reference, left_to_right_reduce
-from conftest import (FIXTURE_MAKERS, bumped, from_dense, grid_values, outside, random_filtration,
-                      random_vertex_map, seeded_telescopes)
+from conftest import (FIXTURE_MAKERS, bumped, from_dense, grid_triangles, grid_values, outside,
+                      random_filtration, random_vertex_map, seeded_telescopes)
 
 
 def band_barcode(f, max_degree=None):
     return barcode_from_overlaps(compute_relevant_numbers(f, max_degree))
-
-
-def grid_triangles(k):
-    """Triangles of a k x k vertex grid, each square cut along a diagonal."""
-    tris = []
-    for r in range(k - 1):
-        for c in range(k - 1):
-            a, b, d, e = r * k + c, r * k + c + 1, (r + 1) * k + c, (r + 1) * k + c + 1
-            tris += [[a, b, e], [a, d, e]]
-    return tris
 
 
 # --- agreement with the band route ---------------------------------------------
